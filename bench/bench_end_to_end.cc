@@ -9,7 +9,6 @@
 #include "bench_util.h"
 #include "core/drugtree.h"
 #include "core/workload.h"
-#include "obs/trace.h"
 #include "util/clock.h"
 
 namespace {
@@ -28,9 +27,6 @@ WorkflowResult RunWorkflow(bool optimized, bool batch_integration,
                            int fetch_concurrency = 1, int parallelism = 1) {
   WorkflowResult result;
   util::SimulatedClock clock;
-  // Spans opened during this workflow are stamped off the simulated clock,
-  // so per-phase span totals report exact simulated attribution.
-  obs::Tracer::Default()->set_clock(&clock);
   util::Timer real(util::RealClock::Instance());
 
   core::BuildOptions options;
@@ -78,7 +74,6 @@ WorkflowResult RunWorkflow(bool optimized, bool batch_integration,
   DT_CHECK(report.ok());
   result.session_mean_ms = report->latency_ms.Mean();
   result.session_p95_ms = report->latency_ms.Percentile(95);
-  obs::Tracer::Default()->set_clock(nullptr);
   return result;
 }
 

@@ -22,7 +22,6 @@
 #include "obs/resource_tracker.h"
 #include "obs/slo_tracker.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "obs/trace_store.h"
 #include "server/server.h"
 #include "util/clock.h"
@@ -115,7 +114,6 @@ int RunForensics(const std::string& trace_json_path) {
                 "Chrome trace export, per-class tail attribution");
   util::SimulatedClock clock;
   auto dt = MakeInstance(&clock);
-  obs::Tracer::Default()->set_clock(&clock);
   std::printf("tree: %zu nodes, %zu leaves (virtual clock)\n",
               dt->tree().NumNodes(), dt->tree().NumLeaves());
 

@@ -3,12 +3,18 @@
 //
 // Series: naive per-row SUBTREE evaluation (full scan) vs the interval
 // rewrite + B+-tree range scan. Focus clades are mid-size (~10% of leaves).
+//
+// The "Traced/" twins install a per-query obs::TraceContext around every
+// Run and finish it into a record, as the serving layer does.
+// scripts/obs_noop_ab.sh runs them and their untraced originals in
+// separate, interleaved processes to gate the cost of tracing.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 
 #include "bench_util.h"
+#include "obs/trace_context.h"
 
 namespace {
 
@@ -57,8 +63,25 @@ Fixture* GetFixture(int leaves) {
   return it->second;
 }
 
+/// One planner run, traced like a served request when `traced` is set.
+util::Result<query::QueryOutcome> RunQuery(Fixture* f, const std::string& sql,
+                                           const query::PlannerOptions& options,
+                                           bool traced) {
+  if (!traced) return f->planner->Run(sql, options);
+  static uint64_t next_trace_id = 0;
+  obs::TraceContext trace(++next_trace_id, util::RealClock::Instance());
+  util::Result<query::QueryOutcome> outcome = [&] {
+    obs::ScopedTraceContext installed(&trace);
+    return f->planner->Run(sql, options);
+  }();
+  obs::TraceRecord record = trace.Finish("ok", outcome.ok());
+  benchmark::DoNotOptimize(record);
+  return outcome;
+}
+
 void RunSubtreeQueries(benchmark::State& state,
-                       const query::PlannerOptions& options) {
+                       const query::PlannerOptions& options,
+                       bool traced = false) {
   Fixture* f = GetFixture(static_cast<int>(state.range(0)));
   size_t cursor = 0;
   int64_t rows = 0;
@@ -67,7 +90,7 @@ void RunSubtreeQueries(benchmark::State& state,
     std::string sql =
         "SELECT t.node_id FROM tree_nodes t WHERE SUBTREE(t.node_id, " +
         std::to_string(node) + ")";
-    auto outcome = f->planner->Run(sql, options);
+    auto outcome = RunQuery(f, sql, options, traced);
     DT_CHECK(outcome.ok()) << outcome.status();
     rows += static_cast<int64_t>(outcome->result.rows.size());
     benchmark::DoNotOptimize(outcome->result);
@@ -90,7 +113,8 @@ void BM_SubtreeQuery_Optimized(benchmark::State& state) {
 // Ancestor queries: the second tree-access pattern the poster's UI needs
 // (breadcrumbs / path-to-root).
 void RunAncestorQueries(benchmark::State& state,
-                        const query::PlannerOptions& options) {
+                        const query::PlannerOptions& options,
+                        bool traced = false) {
   Fixture* f = GetFixture(static_cast<int>(state.range(0)));
   auto leaves = f->tree.Leaves();
   size_t cursor = 0;
@@ -99,7 +123,7 @@ void RunAncestorQueries(benchmark::State& state,
     std::string sql =
         "SELECT t.node_id FROM tree_nodes t WHERE ANCESTOR_OF(t.node_id, " +
         std::to_string(leaf) + ")";
-    auto outcome = f->planner->Run(sql, options);
+    auto outcome = RunQuery(f, sql, options, traced);
     DT_CHECK(outcome.ok()) << outcome.status();
     benchmark::DoNotOptimize(outcome->result);
   }
@@ -122,6 +146,20 @@ void BM_AncestorQuery_Optimized(benchmark::State& state) {
   RunAncestorQueries(state, query::PlannerOptions::Optimized());
 }
 
+void BM_SubtreeQuery_Naive_Traced(benchmark::State& state) {
+  RunSubtreeQueries(state, query::PlannerOptions::Naive(), /*traced=*/true);
+}
+
+void BM_SubtreeQuery_Optimized_Traced(benchmark::State& state) {
+  RunSubtreeQueries(state, query::PlannerOptions::Optimized(),
+                    /*traced=*/true);
+}
+
+void BM_AncestorQuery_Optimized_Traced(benchmark::State& state) {
+  RunAncestorQueries(state, query::PlannerOptions::Optimized(),
+                     /*traced=*/true);
+}
+
 }  // namespace
 
 BENCHMARK(BM_SubtreeQuery_Naive)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
@@ -133,6 +171,15 @@ BENCHMARK(BM_SubtreeQuery_BatchSize)
     ->Args({4096, 1024});
 BENCHMARK(BM_AncestorQuery_Naive)->Arg(256)->Arg(4096);
 BENCHMARK(BM_AncestorQuery_Optimized)->Arg(256)->Arg(4096);
+BENCHMARK(BM_SubtreeQuery_Naive_Traced)
+    ->Name("Traced/BM_SubtreeQuery_Naive")
+    ->Arg(1024);
+BENCHMARK(BM_SubtreeQuery_Optimized_Traced)
+    ->Name("Traced/BM_SubtreeQuery_Optimized")
+    ->Arg(1024);
+BENCHMARK(BM_AncestorQuery_Optimized_Traced)
+    ->Name("Traced/BM_AncestorQuery_Optimized")
+    ->Arg(4096);
 
 int main(int argc, char** argv) {
   drugtree::bench::Banner(

@@ -14,8 +14,8 @@
 #
 # Usage: scripts/bench_baseline.sh [build-dir]   (default: build)
 # Env:
-#   BENCH_OUT_DIR  where the artifacts land (default: baselines). bench_diff
-#                  points this at a scratch dir to snapshot a fresh run.
+#   BENCH_OUT_DIR  where the artifacts land (default: baselines). Point it
+#                  at a scratch dir to snapshot a fresh run for comparison.
 #   BENCH_LIST     the metrics-bearing benches to run (default: all five).
 #   BENCH_SMOKE    0 skips the vectorized throughput smoke (default: 1).
 set -euo pipefail
@@ -46,7 +46,7 @@ for name in ${BENCH_LIST}; do
   "${bin}" --metrics-json="${OUT_DIR}/BENCH_${name}.json" \
     | tee "${OUT_DIR}/BENCH_${name}.txt"
   # A bench that exits zero but writes no registry snapshot would silently
-  # record an empty baseline and every later bench_diff would "pass".
+  # record an empty baseline that every later comparison would "pass".
   if [[ ! -s "${OUT_DIR}/BENCH_${name}.json" ]]; then
     echo "bench_baseline: FAIL — ${name} produced no metrics JSON artifact" \
          "at ${OUT_DIR}/BENCH_${name}.json" >&2

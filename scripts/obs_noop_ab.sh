@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# DRUGTREE_OBS_NOOP A/B overhead gate: the fully-instrumented Release build
-# (spans compiled in, trace capture enabled via DRUGTREE_TRACE_CAPTURE=1)
-# must stay within a small budget of the noop build (DRUGTREE_OBS_NOOP=ON,
-# spans compiled out) on the tree-query bench.
+# Tracing overhead A/B gate: the tree-query bench's "Traced/" series (a
+# per-query obs::TraceContext installed around every Run and finished into
+# a record, as the serving layer does) must stay within a small budget of
+# the same queries untraced. Both sides are the same Release binary, run
+# as separate processes.
 #
 # Shared machines show ~10% run-to-run wall noise, so a naive single-run
 # comparison would flake. The gate interleaves A/B process runs and takes
@@ -14,11 +15,13 @@
 # query with and without a per-query tracker hierarchy attached and fails
 # if charging costs more than DRUGTREE_TRACKER_BUDGET_PCT percent.
 #
-# Usage: scripts/obs_noop_ab.sh [instrumented-build-dir] [noop-build-dir]
+# Usage: scripts/obs_noop_ab.sh [release-build-dir]
 # Env:
 #   DRUGTREE_AB_BUDGET_PCT       allowed geomean overhead (default: 5)
 #   DRUGTREE_AB_REPS             interleaved A/B repetitions (default: 5)
 #   DRUGTREE_AB_FILTER           --benchmark_filter for the probe workload
+#                                (untraced names that have a Traced/ twin;
+#                                the traced run prefixes them with Traced/)
 #   DRUGTREE_TRACKER_BUDGET_PCT  tracker fast-path budget (default: 5)
 #   DRUGTREE_TELEMETRY_BUDGET_PCT  telemetry on/off budget (default: 5)
 #   DRUGTREE_TELEMETRY_AB_REPS     telemetry lane repetitions (default: 10)
@@ -26,7 +29,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ON_DIR="${1:-build-rel}"
-OFF_DIR="${2:-build-noop}"
 BUDGET="${DRUGTREE_AB_BUDGET_PCT:-5}"
 REPS="${DRUGTREE_AB_REPS:-5}"
 FILTER="${DRUGTREE_AB_FILTER:-BM_SubtreeQuery_(Naive|Optimized)/1024|BM_AncestorQuery_Optimized/4096}"
@@ -34,24 +36,20 @@ FILTER="${DRUGTREE_AB_FILTER:-BM_SubtreeQuery_(Naive|Optimized)/1024|BM_Ancestor
 if [[ ! -d "${ON_DIR}" ]]; then
   cmake -B "${ON_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
 fi
-if [[ ! -d "${OFF_DIR}" ]]; then
-  cmake -B "${OFF_DIR}" -S . -DCMAKE_BUILD_TYPE=Release -DDRUGTREE_OBS_NOOP=ON
-fi
 cmake --build "${ON_DIR}" -j "$(nproc)" \
   --target bench_tree_query bench_vectorized_smoke bench_encoding bench_server
-cmake --build "${OFF_DIR}" -j "$(nproc)" --target bench_tree_query
 
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "${SCRATCH}"' EXIT
 
-echo "== obs noop A/B gate: ${REPS} interleaved reps, budget +${BUDGET}%"
+echo "== tracing A/B gate: ${REPS} interleaved reps, budget +${BUDGET}%"
 for i in $(seq 1 "${REPS}"); do
-  DRUGTREE_TRACE_CAPTURE=1 "${ON_DIR}/bench/bench_tree_query" \
-    --benchmark_filter="${FILTER}" \
+  "${ON_DIR}/bench/bench_tree_query" \
+    --benchmark_filter="^Traced/(${FILTER})" \
     --benchmark_out="${SCRATCH}/on_${i}.json" \
     --benchmark_out_format=json >/dev/null 2>&1
-  "${OFF_DIR}/bench/bench_tree_query" \
-    --benchmark_filter="${FILTER}" \
+  "${ON_DIR}/bench/bench_tree_query" \
+    --benchmark_filter="^(${FILTER})" \
     --benchmark_out="${SCRATCH}/off_${i}.json" \
     --benchmark_out_format=json >/dev/null 2>&1
 done
@@ -70,19 +68,19 @@ def load(path):
 on, off = {}, {}
 for i in range(1, reps + 1):
     for name, v in load(f"{scratch}/on_{i}.json").items():
-        on.setdefault(name, []).append(v)
+        on.setdefault(name.removeprefix("Traced/"), []).append(v)
     for name, v in load(f"{scratch}/off_{i}.json").items():
         off.setdefault(name, []).append(v)
 
 common = sorted(set(on) & set(off))
 if not common:
-    sys.exit("obs_noop_ab: no common benchmarks between the two builds")
+    sys.exit("obs_noop_ab: no common benchmarks between the two runs")
 
 ratios = []
 for name in common:
     a, b = min(on[name]), min(off[name])
     ratios.append(a / b)
-    print(f"  {name:<40} traced={a:12.1f}ns noop={b:12.1f}ns "
+    print(f"  {name:<40} traced={a:12.1f}ns untraced={b:12.1f}ns "
           f"{100 * (a / b - 1):+.1f}%")
 
 geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))

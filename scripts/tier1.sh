@@ -76,16 +76,10 @@ cmake --build build-rel -j "$(nproc)" \
 # must hold the interactive p99 inside the 2ms budget under analytic load.
 ./build-rel/bench/bench_adaptive --gate
 
-# Tracing overhead A/B gate: the instrumented Release build (with trace
-# capture on) must stay within budget of the DRUGTREE_OBS_NOOP build. Also
+# Tracing overhead A/B gate: tree queries with a per-query trace context
+# installed must stay within budget of the same queries untraced. Also
 # gates the memory-tracker fast path (tracked vectorized smoke, <5%) and
 # the continuous-telemetry sampler (DRUGTREE_TELEMETRY on/off, <5%).
-scripts/obs_noop_ab.sh build-rel build-noop
-
-# Informational perf diff vs the recorded baselines. Never fails tier-1:
-# shared machines are noisy and baselines may predate hardware changes —
-# read the table when it flags.
-scripts/bench_diff.sh build \
-  || echo "bench_diff: regressions flagged (informational)"
+scripts/obs_noop_ab.sh build-rel
 
 echo "tier-1 OK"

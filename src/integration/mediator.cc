@@ -7,7 +7,6 @@
 
 #include "integration/network.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -278,7 +277,6 @@ util::Result<Deferred<std::vector<ActivityRecord>>> Mediator::GetActivitiesAsync
 
 util::Result<IntegratedDataset> Mediator::IntegrateAll(
     const MediatorOptions& options) {
-  DT_SPAN("integrate.all");
   static obs::Counter* protein_fetches = FetchCounter("proteins");
   static obs::Counter* ligand_fetches = FetchCounter("ligands");
   static obs::Counter* activity_fetches = FetchCounter("activities");
@@ -291,40 +289,37 @@ util::Result<IntegratedDataset> Mediator::IntegrateAll(
 
   // Proteins.
   std::vector<ProteinRecord> proteins;
-  {
-    DT_SPAN("integrate.fetch_proteins");
-    if (options.batch_requests) {
-      proteins = protein_source_->FetchAll();
-    } else if (overlapped) {
-      // Overlapped per-record fetch: keep up to max_concurrency requests in
-      // flight; cache semantics match the serial GetProtein path exactly.
-      FetchWindow window(network(), options.max_concurrency);
-      for (const auto& acc : protein_source_->ListAccessions()) {
-        const std::string key = SemanticCache::ProteinKey(acc);
-        if (CacheEnabled(options)) {
-          if (auto blob = cache_->Get(key)) {
-            DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, DecodeProtein(*blob));
-            proteins.push_back(std::move(rec));
-            continue;
-          }
+  if (options.batch_requests) {
+    proteins = protein_source_->FetchAll();
+  } else if (overlapped) {
+    // Overlapped per-record fetch: keep up to max_concurrency requests in
+    // flight; cache semantics match the serial GetProtein path exactly.
+    FetchWindow window(network(), options.max_concurrency);
+    for (const auto& acc : protein_source_->ListAccessions()) {
+      const std::string key = SemanticCache::ProteinKey(acc);
+      if (CacheEnabled(options)) {
+        if (auto blob = cache_->Get(key)) {
+          DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, DecodeProtein(*blob));
+          proteins.push_back(std::move(rec));
+          continue;
         }
-        window.Acquire();
-        DRUGTREE_ASSIGN_OR_RETURN(
-            Deferred<ProteinRecord> d,
-            protein_source_->FetchByAccessionAsync(acc));
-        window.Track(d.ready_micros);
-        ++async_stats_.async_requests;
-        if (CacheEnabled(options)) cache_->Put(key, EncodeProtein(d.value));
-        proteins.push_back(std::move(d.value));
       }
-      window.Drain();
-      async_stats_.peak_in_flight =
-          std::max(async_stats_.peak_in_flight, window.peak_in_flight());
-    } else {
-      for (const auto& acc : protein_source_->ListAccessions()) {
-        DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, GetProtein(acc, options));
-        proteins.push_back(std::move(rec));
-      }
+      window.Acquire();
+      DRUGTREE_ASSIGN_OR_RETURN(
+          Deferred<ProteinRecord> d,
+          protein_source_->FetchByAccessionAsync(acc));
+      window.Track(d.ready_micros);
+      ++async_stats_.async_requests;
+      if (CacheEnabled(options)) cache_->Put(key, EncodeProtein(d.value));
+      proteins.push_back(std::move(d.value));
+    }
+    window.Drain();
+    async_stats_.peak_in_flight =
+        std::max(async_stats_.peak_in_flight, window.peak_in_flight());
+  } else {
+    for (const auto& acc : protein_source_->ListAccessions()) {
+      DRUGTREE_ASSIGN_OR_RETURN(ProteinRecord rec, GetProtein(acc, options));
+      proteins.push_back(std::move(rec));
     }
   }
   protein_fetches->Add(static_cast<int64_t>(proteins.size()));
@@ -342,28 +337,25 @@ util::Result<IntegratedDataset> Mediator::IntegrateAll(
 
   // Ligands.
   std::vector<LigandEntry> ligands;
-  {
-    DT_SPAN("integrate.fetch_ligands");
-    if (options.batch_requests) {
-      ligands = ligand_source_->FetchAll();
-    } else if (overlapped) {
-      FetchWindow window(network(), options.max_concurrency);
-      for (const auto& id : ligand_source_->ListIds()) {
-        window.Acquire();
-        DRUGTREE_ASSIGN_OR_RETURN(Deferred<LigandEntry> d,
-                                  ligand_source_->FetchByIdAsync(id));
-        window.Track(d.ready_micros);
-        ++async_stats_.async_requests;
-        ligands.push_back(std::move(d.value));
-      }
-      window.Drain();
-      async_stats_.peak_in_flight =
-          std::max(async_stats_.peak_in_flight, window.peak_in_flight());
-    } else {
-      for (const auto& id : ligand_source_->ListIds()) {
-        DRUGTREE_ASSIGN_OR_RETURN(LigandEntry e, ligand_source_->FetchById(id));
-        ligands.push_back(std::move(e));
-      }
+  if (options.batch_requests) {
+    ligands = ligand_source_->FetchAll();
+  } else if (overlapped) {
+    FetchWindow window(network(), options.max_concurrency);
+    for (const auto& id : ligand_source_->ListIds()) {
+      window.Acquire();
+      DRUGTREE_ASSIGN_OR_RETURN(Deferred<LigandEntry> d,
+                                ligand_source_->FetchByIdAsync(id));
+      window.Track(d.ready_micros);
+      ++async_stats_.async_requests;
+      ligands.push_back(std::move(d.value));
+    }
+    window.Drain();
+    async_stats_.peak_in_flight =
+        std::max(async_stats_.peak_in_flight, window.peak_in_flight());
+  } else {
+    for (const auto& id : ligand_source_->ListIds()) {
+      DRUGTREE_ASSIGN_OR_RETURN(LigandEntry e, ligand_source_->FetchById(id));
+      ligands.push_back(std::move(e));
     }
   }
   ligand_fetches->Add(static_cast<int64_t>(ligands.size()));
@@ -376,46 +368,42 @@ util::Result<IntegratedDataset> Mediator::IntegrateAll(
   // (accession, ligand, assay_type) but come from different databases are
   // merged: geometric-mean affinity, provenance "merged".
   std::vector<ActivityRecord> activities;
-  {
-    DT_SPAN("integrate.fetch_activities");
-    if (options.batch_requests) {
-      activities = activity_source_->FetchAll();
-    } else if (overlapped) {
-      FetchWindow window(network(), options.max_concurrency);
-      for (const auto& p : proteins) {
-        const std::string key =
-            SemanticCache::ActivitiesByProteinKey(p.accession);
-        if (CacheEnabled(options)) {
-          if (auto blob = cache_->Get(key)) {
-            DRUGTREE_ASSIGN_OR_RETURN(std::vector<ActivityRecord> a,
-                                      DecodeActivities(*blob));
-            activities.insert(activities.end(), a.begin(), a.end());
-            continue;
-          }
+  if (options.batch_requests) {
+    activities = activity_source_->FetchAll();
+  } else if (overlapped) {
+    FetchWindow window(network(), options.max_concurrency);
+    for (const auto& p : proteins) {
+      const std::string key =
+          SemanticCache::ActivitiesByProteinKey(p.accession);
+      if (CacheEnabled(options)) {
+        if (auto blob = cache_->Get(key)) {
+          DRUGTREE_ASSIGN_OR_RETURN(std::vector<ActivityRecord> a,
+                                    DecodeActivities(*blob));
+          activities.insert(activities.end(), a.begin(), a.end());
+          continue;
         }
-        window.Acquire();
-        Deferred<std::vector<ActivityRecord>> d =
-            activity_source_->FetchByAccessionAsync(p.accession);
-        window.Track(d.ready_micros);
-        ++async_stats_.async_requests;
-        if (CacheEnabled(options)) cache_->Put(key, EncodeActivities(d.value));
-        activities.insert(activities.end(), d.value.begin(), d.value.end());
       }
-      window.Drain();
-      async_stats_.peak_in_flight =
-          std::max(async_stats_.peak_in_flight, window.peak_in_flight());
-    } else {
-      for (const auto& p : proteins) {
-        DRUGTREE_ASSIGN_OR_RETURN(std::vector<ActivityRecord> a,
-                                  GetActivities(p.accession, options));
-        activities.insert(activities.end(), a.begin(), a.end());
-      }
+      window.Acquire();
+      Deferred<std::vector<ActivityRecord>> d =
+          activity_source_->FetchByAccessionAsync(p.accession);
+      window.Track(d.ready_micros);
+      ++async_stats_.async_requests;
+      if (CacheEnabled(options)) cache_->Put(key, EncodeActivities(d.value));
+      activities.insert(activities.end(), d.value.begin(), d.value.end());
+    }
+    window.Drain();
+    async_stats_.peak_in_flight =
+        std::max(async_stats_.peak_in_flight, window.peak_in_flight());
+  } else {
+    for (const auto& p : proteins) {
+      DRUGTREE_ASSIGN_OR_RETURN(std::vector<ActivityRecord> a,
+                                GetActivities(p.accession, options));
+      activities.insert(activities.end(), a.begin(), a.end());
     }
   }
   activity_fetches->Add(static_cast<int64_t>(activities.size()));
   obs::ScopedMemoryCharge activity_buf_charge(memory_,
                                               SumApproxBytes(activities));
-  DT_SPAN("integrate.resolve");
   std::map<std::tuple<std::string, std::string, std::string>,
            std::vector<const ActivityRecord*>>
       groups;

@@ -1,7 +1,6 @@
 #include "mobile/session.h"
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "util/string_util.h"
 
@@ -59,7 +58,6 @@ void MobileSession::ServeVia(ServedQueryConfig config) {
 }
 
 util::Result<uint64_t> MobileSession::ServedOverlayQuery(phylo::NodeId node) {
-  DT_SPAN("mobile.served_overlay");
   server::QueryRequest request;
   request.session_id = served_.session_id;
   request.sql = served_.overlay_sql(node);
@@ -110,7 +108,6 @@ util::Result<int64_t> MobileSession::Interact(const Action& action) {
 }
 
 util::Result<int64_t> MobileSession::InteractInner(const Action& action) {
-  DT_SPAN("mobile.interact");
   static obs::Counter* bytes_shipped =
       obs::MetricRegistry::Default()->GetCounter("mobile.session.bytes");
   static obs::Counter* nodes_shipped =
@@ -147,7 +144,6 @@ util::Result<int64_t> MobileSession::InteractInner(const Action& action) {
 
   // 2. Server work + response shipping.
   if (action.kind == ActionKind::kOverlayQuery) {
-    DT_SPAN("mobile.overlay_query");
     uint64_t payload = 256;
     {
       obs::TracePhaseScope execute_phase(obs::TracePhase::kExecute);
@@ -174,8 +170,8 @@ util::Result<int64_t> MobileSession::InteractInner(const Action& action) {
   } else {
     std::vector<LodNode> cut;
     {
-      obs::TracePhaseScope serialize_phase(obs::TracePhase::kSerialize);
-      DT_SPAN("mobile.lod_cut");
+      obs::TracePhaseScope serialize_phase(obs::TracePhase::kSerialize,
+                                           "lod_cut");
       if (options_.progressive_lod) {
         LodParams lod = options_.lod;
         lod.screen_height_px = device_.screen_height_px;
@@ -188,8 +184,8 @@ util::Result<int64_t> MobileSession::InteractInner(const Action& action) {
     }
     Frame frame;
     {
-      obs::TracePhaseScope serialize_phase(obs::TracePhase::kSerialize);
-      DT_SPAN("mobile.frame_encode");
+      obs::TracePhaseScope serialize_phase(obs::TracePhase::kSerialize,
+                                           "frame_encode");
       frame = BuildFrame(
           cut, client_cache_.CollapsedIds(), client_cache_.ExpandedIds(),
           options_.delta_encoding);

@@ -6,7 +6,7 @@
 //
 // Naming scheme: dot-separated "<layer>.<component>.<event>", e.g.
 // "network.requests", "storage.buffer_pool.hits", "query.result_cache.misses",
-// "span.query.execute.total_micros". Labels (optional, ordered key=value)
+// "mobile.session.frames". Labels (optional, ordered key=value)
 // discriminate instances: GetCounter("network.requests", {{"link","3g"}}).
 //
 // Counters are sharded atomics (write-mostly, read-rarely); gauges are single

@@ -27,6 +27,12 @@ const char* TracePhaseName(TracePhase phase) {
   return "unknown";
 }
 
+std::string PhaseInterval::Name() const {
+  std::string name = TracePhaseName(phase);
+  if (label != nullptr) name.append("/").append(label);
+  return name;
+}
+
 std::string TraceRecord::TimelineString() const {
   std::string out = util::StringPrintf(
       "[trace %llu %s %s session=%llu] total=%.3fms status=%s\n",
@@ -35,21 +41,21 @@ std::string TraceRecord::TimelineString() const {
       static_cast<double>(TotalMicros()) / 1000.0, status.c_str());
   for (const auto& iv : intervals) {
     out += util::StringPrintf(
-        "  %-13s %8lldus .. %8lldus  (%lldus)\n", TracePhaseName(iv.phase),
+        "  %-22s %8lldus .. %8lldus  (%lldus)\n", iv.Name().c_str(),
         (long long)(iv.start_micros - begin_micros),
         (long long)(iv.end_micros - begin_micros),
         (long long)iv.DurationMicros());
   }
   for (const auto& f : fetches) {
     out += util::StringPrintf(
-        "  fetch ch%-2d    %8lldus .. %8lldus  (%llu bytes)\n", f.channel,
-        (long long)(f.start_micros - begin_micros),
+        "  fetch ch%-2d             %8lldus .. %8lldus  (%llu bytes)\n",
+        f.channel, (long long)(f.start_micros - begin_micros),
         (long long)(f.end_micros - begin_micros), (unsigned long long)f.bytes);
   }
   if (peak_memory_bytes > 0 || cpu_micros > 0) {
-    out += util::StringPrintf("  resources     peak_mem=%lldB cpu=%lldus\n",
-                              (long long)peak_memory_bytes,
-                              (long long)cpu_micros);
+    out += util::StringPrintf(
+        "  resources              peak_mem=%lldB cpu=%lldus\n",
+        (long long)peak_memory_bytes, (long long)cpu_micros);
   }
   for (const auto& [name, value] : counters) {
     out += util::StringPrintf("  #%s=%lld\n", name.c_str(), (long long)value);
@@ -90,12 +96,12 @@ void TraceContext::BeginPhase(TracePhase phase) {
   open_start_[static_cast<size_t>(phase)] = clock_->NowMicros();
 }
 
-void TraceContext::EndPhase(TracePhase phase) {
+void TraceContext::EndPhase(TracePhase phase, const char* label) {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t& start = open_start_[static_cast<size_t>(phase)];
   if (start < 0) return;  // unmatched close
   int64_t end = clock_->NowMicros();
-  record_.intervals.push_back({phase, start, end});
+  record_.intervals.push_back({phase, label, start, end});
   record_.phase_micros[static_cast<size_t>(phase)] += end - start;
   start = -1;
 }
@@ -104,7 +110,7 @@ void TraceContext::AddPhaseInterval(TracePhase phase, int64_t start_micros,
                                     int64_t end_micros) {
   if (end_micros < start_micros) end_micros = start_micros;
   std::lock_guard<std::mutex> lock(mu_);
-  record_.intervals.push_back({phase, start_micros, end_micros});
+  record_.intervals.push_back({phase, nullptr, start_micros, end_micros});
   record_.phase_micros[static_cast<size_t>(phase)] +=
       end_micros - start_micros;
 }
@@ -141,11 +147,6 @@ void TraceContext::set_cpu_micros(int64_t micros) {
   record_.cpu_micros = micros;
 }
 
-void TraceContext::AdoptRootSpan(std::unique_ptr<Span> root) {
-  std::lock_guard<std::mutex> lock(mu_);
-  record_.root_span = std::shared_ptr<Span>(std::move(root));
-}
-
 int64_t TraceContext::PhaseMicros(TracePhase phase) const {
   std::lock_guard<std::mutex> lock(mu_);
   return record_.phase_micros[static_cast<size_t>(phase)];
@@ -156,7 +157,7 @@ TraceRecord TraceContext::Finish(std::string status, bool ok) {
   int64_t now = clock_->NowMicros();
   for (int p = 0; p < kNumTracePhases; ++p) {
     if (open_start_[static_cast<size_t>(p)] >= 0) {
-      record_.intervals.push_back({static_cast<TracePhase>(p),
+      record_.intervals.push_back({static_cast<TracePhase>(p), nullptr,
                                    open_start_[static_cast<size_t>(p)], now});
       record_.phase_micros[static_cast<size_t>(p)] +=
           now - open_start_[static_cast<size_t>(p)];

@@ -3,7 +3,9 @@
 // queueing, dispatch, planning, operator execution, simulated-network fetches,
 // and result serialization — and records a *phase timeline* stamped off
 // util::Clock, so virtual-clock tests and benches get exact, deterministic
-// attribution of where the request's time went.
+// attribution of where the request's time went. It is the only tracing
+// mechanism: a step worth naming inside a phase (the planner's parse and
+// optimize, the mobile LOD cut) is a labelled TracePhaseScope.
 //
 // Propagation is thread-local: the layer that owns the request installs the
 // context with ScopedTraceContext, and any instrumented code below it (the
@@ -23,12 +25,10 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
 #include "util/clock.h"
 
 namespace drugtree {
@@ -53,13 +53,20 @@ inline constexpr int kNumTracePhases = 8;
 
 const char* TracePhaseName(TracePhase phase);
 
-/// One contiguous phase interval on the request's clock.
+/// One contiguous phase interval on the request's clock. `label` optionally
+/// names the step inside the phase ("parse" within kPlan). It must be a
+/// string literal (static storage): recording it copies a pointer, not a
+/// string.
 struct PhaseInterval {
   TracePhase phase = TracePhase::kAdmit;
+  const char* label = nullptr;
   int64_t start_micros = 0;
   int64_t end_micros = 0;
 
   int64_t DurationMicros() const { return end_micros - start_micros; }
+  /// "plan/parse" for a labelled interval, "plan" otherwise — the name the
+  /// timeline and the Chrome export print.
+  std::string Name() const;
 };
 
 /// One simulated-network request attributed to this trace: which link
@@ -104,9 +111,6 @@ struct TraceRecord {
   /// EXPLAIN ANALYZE of the executed plan; only captured when the owner ran
   /// with analyze collection on (the slow-query forensics path).
   std::string analyzed_plan;
-  /// Captured span tree (shared so records stay copyable); null unless the
-  /// tracer was capturing while this context was installed.
-  std::shared_ptr<Span> root_span;
 
   int64_t TotalMicros() const { return end_micros - begin_micros; }
   int64_t PhaseMicros(TracePhase phase) const {
@@ -116,7 +120,8 @@ struct TraceRecord {
   /// The full phase timeline, one interval per line — what the slow-query
   /// log dumps:
   ///   [trace 17 interactive slot-0] total=12.40ms status=ok
-  ///     queue_wait   0us .. 10000us  (10000us)
+  ///     queue_wait                    0us ..    10000us  (10000us)
+  ///     plan/parse                10000us ..    10012us  (12us)
   ///     ...
   std::string TimelineString() const;
 };
@@ -144,9 +149,10 @@ class TraceContext {
   /// kExecute via AddBlockedMicros, not Begin/End).
   void BeginPhase(TracePhase phase);
 
-  /// Closes the most recent open interval of `phase` at the current time.
-  /// A close without a matching open is ignored (defensive).
-  void EndPhase(TracePhase phase);
+  /// Closes the most recent open interval of `phase` at the current time,
+  /// naming it `label` (a string literal, or null for the bare phase). A
+  /// close without a matching open is ignored (defensive).
+  void EndPhase(TracePhase phase, const char* label = nullptr);
 
   /// Records an explicit interval (used when the boundary stamps were taken
   /// elsewhere, e.g. admission's enqueue time under the server mutex).
@@ -171,11 +177,6 @@ class TraceContext {
   /// Resource accounting stamped by the serving layer at completion.
   void set_peak_memory_bytes(int64_t bytes);
   void set_cpu_micros(int64_t micros);
-
-  /// Adopts a completed root span tree (called by Tracer when a root span
-  /// closes while this context is installed — the per-query fix for the
-  /// process-global last-trace clobber).
-  void AdoptRootSpan(std::unique_ptr<Span> root);
 
   /// Total micros attributed to `phase` so far.
   int64_t PhaseMicros(TracePhase phase) const;
@@ -218,15 +219,19 @@ class ScopedTraceContext {
 
 /// RAII phase scope on the *current* context: opens `phase` if a context is
 /// installed, closes it on exit. Free when no context is installed (one
-/// thread-local read).
+/// thread-local read). A `label` (string literal) names the step inside the
+/// phase, so the record shows e.g. plan/parse and plan/optimize as separate
+/// intervals that still sum into the kPlan total:
+///
+///   obs::TracePhaseScope scope(obs::TracePhase::kPlan, "optimize");
 class TracePhaseScope {
  public:
-  explicit TracePhaseScope(TracePhase phase)
-      : context_(TraceContext::Current()), phase_(phase) {
+  explicit TracePhaseScope(TracePhase phase, const char* label = nullptr)
+      : context_(TraceContext::Current()), phase_(phase), label_(label) {
     if (context_ != nullptr) context_->BeginPhase(phase_);
   }
   ~TracePhaseScope() {
-    if (context_ != nullptr) context_->EndPhase(phase_);
+    if (context_ != nullptr) context_->EndPhase(phase_, label_);
   }
 
   TracePhaseScope(const TracePhaseScope&) = delete;
@@ -235,6 +240,7 @@ class TracePhaseScope {
  private:
   TraceContext* context_;
   TracePhase phase_;
+  const char* label_;
 };
 
 }  // namespace obs

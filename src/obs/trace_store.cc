@@ -200,7 +200,7 @@ std::string ExportChromeTrace(const std::vector<TraceRecord>& records,
           "\"ts\":%lld,\"dur\":%lld,\"args\":{\"trace_id\":%llu,"
           "\"class\":\"%s\",\"session\":%llu,\"status\":\"%s\","
           "\"sql\":\"%s\"}}",
-          TracePhaseName(iv.phase), tid, (long long)iv.start_micros,
+          iv.Name().c_str(), tid, (long long)iv.start_micros,
           (long long)iv.DurationMicros(), (unsigned long long)r.trace_id,
           JsonEscape(r.query_class).c_str(), (unsigned long long)r.session_id,
           JsonEscape(r.status).c_str(), JsonEscape(r.sql).c_str()));

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/resource_tracker.h"
-#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace drugtree {
@@ -58,7 +57,6 @@ std::string QueryResult::ToString(size_t max_rows) const {
 util::Result<QueryResult> ExecutePlan(PhysicalOperator* root,
                                       const QueryContext* context,
                                       size_t batch_size) {
-  DT_SPAN("query.execute");
   if (context != nullptr) root->SetQueryContext(context);
   if (batch_size > 1) root->SetBatchSize(batch_size);
   DRUGTREE_RETURN_IF_ERROR(root->Open());

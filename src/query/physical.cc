@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/resource_tracker.h"
-#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace drugtree {
@@ -333,7 +332,6 @@ util::Status SeqScanOp::OpenImpl() {
 }
 
 util::Status SeqScanOp::MaterializeParallel() {
-  DT_SPAN("exec.parallel_scan");
   const size_t n = static_cast<size_t>(table_->NumRows());
   const size_t morsel = par_.morsel_rows;
   const size_t num_morsels = (n + morsel - 1) / morsel;
@@ -879,7 +877,6 @@ util::Status HashJoinOp::OpenImpl() {
   std::vector<uint64_t> hashes(n);
   std::vector<char> valid(n, 0);
   if (par_.enabled() && n >= 2 * par_.morsel_rows) {
-    DT_SPAN("exec.parallel_build");
     const size_t morsel = par_.morsel_rows;
     const size_t num_morsels = (n + morsel - 1) / morsel;
     std::vector<util::Status> errors(num_morsels, util::Status::OK());

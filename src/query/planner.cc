@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "query/normalize.h"
 #include "query/parser.h"
@@ -290,8 +289,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }
   obs::TraceContext* trace = obs::TraceContext::Current();
   DRUGTREE_ASSIGN_OR_RETURN(Statement stmt, [&] {
-    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
-    DT_SPAN("query.parse");
+    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan, "parse");
     return ParseStatement(sql);
   }());
   // EXPLAIN [ANALYZE] always runs the full pipeline: a cached result would
@@ -307,7 +305,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   // Both keys derive from one traversal, so equivalent statements agree by
   // construction.
   NormalizedStatement norm = [&] {
-    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
+    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan, "normalize");
     return NormalizeStatement(&stmt.select, /*want_canonical=*/use_cache);
   }();
   if (use_cache) {
@@ -335,8 +333,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   PlanCache::VersionSignature versions;
   LogicalPtr optimized;
   if (plan_cache_ != nullptr) {
-    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
-    DT_SPAN("query.plan.cache");
+    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan, "plan_cache");
     versions = PlanCache::CaptureVersions(*catalog_, stmt.select,
                                           costs.version);
     PlanCache::Lookup lookup =
@@ -352,8 +349,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }
   if (optimized == nullptr) {
     DRUGTREE_ASSIGN_OR_RETURN(optimized, [&] {
-      obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
-      DT_SPAN("query.optimize");
+      obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan, "optimize");
       util::Result<LogicalPtr> logical =
           BuildLogicalPlan(stmt.select, *catalog_);
       if (!logical.ok()) return logical;
@@ -365,8 +361,7 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
   }
   outcome.logical_plan = optimized->ToString();
   DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr physical, [&] {
-    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan);
-    DT_SPAN("query.plan.physical");
+    obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan, "physical");
     return ToPhysical(optimized, options, &outcome.stats);
   }());
   outcome.physical_plan = physical->ExplainString();
@@ -386,7 +381,12 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
       stmt.explain == ExplainMode::kAnalyze ||
       (context != nullptr && context->collect_analyze);
   if (analyze) {
-    physical->EnableAnalyze(obs::Tracer::Default()->clock());
+    // Operators are timed on the clock of whoever owns the query, so a
+    // server on a virtual clock records virtual (zero) operator time and
+    // the cost calibrator rejects it, like every other virtual-clock stamp.
+    physical->EnableAnalyze(context != nullptr && context->clock != nullptr
+                                ? context->clock
+                                : util::RealClock::Instance());
   }
   {
     obs::TracePhaseScope execute_phase(obs::TracePhase::kExecute);

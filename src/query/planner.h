@@ -89,6 +89,7 @@ class Planner {
   /// EXPLAIN prefix skips execution and returns only the plan text; a
   /// leading EXPLAIN ANALYZE executes with per-operator instrumentation
   /// and fills QueryOutcome::analyzed_plan (both bypass the result cache).
+  /// Operators are timed on `context->clock` when set, RealClock otherwise.
   /// A non-null `context` makes the run cancellable: kCancelled once its
   /// deadline passes or its flag is set (checked before planning and at
   /// every operator checkpoint during execution).

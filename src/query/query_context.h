@@ -24,8 +24,9 @@ class MemoryTracker;
 namespace query {
 
 struct QueryContext {
-  /// Clock the deadline is measured on (the server's clock). Null disables
-  /// deadline enforcement.
+  /// Clock the deadline is measured on (the server's clock), and the clock
+  /// EXPLAIN ANALYZE times operators on. Null disables deadline enforcement
+  /// and times operators on RealClock.
   const util::Clock* clock = nullptr;
   /// Absolute deadline in clock micros; 0 = no deadline.
   int64_t deadline_micros = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/trace.h"
 #include "query/cost_model.h"
 #include "query/join_order.h"
 #include "util/string_util.h"
@@ -217,26 +216,23 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
 
   // Per-conjunct rewrites.
   std::vector<ExprPtr> conjuncts;
-  {
-    DT_SPAN("query.rewrite");
-    for (auto& c : region.conjuncts) {
-      ExprPtr e = c;
-      if (options.enable_tree_rewrite) {
-        DRUGTREE_ASSIGN_OR_RETURN(e,
-                                  RewriteTreePredicates(e, catalog,
-                                                        alias_to_table));
+  for (auto& c : region.conjuncts) {
+    ExprPtr e = c;
+    if (options.enable_tree_rewrite) {
+      DRUGTREE_ASSIGN_OR_RETURN(e,
+                                RewriteTreePredicates(e, catalog,
+                                                      alias_to_table));
+    }
+    if (options.enable_constant_folding) e = FoldConstants(e, catalog);
+    // Re-split: rewrites may introduce fresh conjunctions.
+    for (auto& piece : SplitConjuncts(e)) {
+      // Drop literal TRUE.
+      if (piece->kind == ExprKind::kLiteral &&
+          piece->literal.type() == ValueType::kBool &&
+          piece->literal.AsBool()) {
+        continue;
       }
-      if (options.enable_constant_folding) e = FoldConstants(e, catalog);
-      // Re-split: rewrites may introduce fresh conjunctions.
-      for (auto& piece : SplitConjuncts(e)) {
-        // Drop literal TRUE.
-        if (piece->kind == ExprKind::kLiteral &&
-            piece->literal.type() == ValueType::kBool &&
-            piece->literal.AsBool()) {
-          continue;
-        }
-        conjuncts.push_back(std::move(piece));
-      }
+      conjuncts.push_back(std::move(piece));
     }
   }
 
@@ -286,11 +282,10 @@ util::Result<LogicalPtr> OptimizeLogicalPlan(const LogicalPtr& plan,
     edges.push_back(std::move(e));
   }
 
-  DRUGTREE_ASSIGN_OR_RETURN(JoinOrderResult order, [&] {
-    DT_SPAN("query.join_order");
-    return ChooseJoinOrder(relations, edges, options.enable_join_reorder,
-                           cost.costs());
-  }());
+  DRUGTREE_ASSIGN_OR_RETURN(
+      JoinOrderResult order,
+      ChooseJoinOrder(relations, edges, options.enable_join_reorder,
+                      cost.costs()));
 
   // Rebuild the join tree left-deep in the chosen order.
   LogicalPtr rebuilt = region.scans[order.order[0]];

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "util/string_util.h"
 
@@ -267,7 +266,6 @@ DrugTreeServer::~DrugTreeServer() {
 }
 
 ResponseHandle DrugTreeServer::SubmitAsync(QueryRequest request) {
-  DT_SPAN("server.submit");
   PendingRequest pending;
   pending.request = std::move(request);
   pending.response = std::make_shared<ResponseState>();
@@ -569,79 +567,74 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
   int64_t cpu_micros = 0;
   {
     obs::ScopedTraceContext installed(trace.get());
-    // Inner scope: the server.execute root span closes (and is adopted by
-    // the installed context) before Finish() freezes the record below.
+    int64_t now = clock_->NowMicros();
+    if (trace != nullptr) {
+      trace->set_lane(util::StringPrintf("slot-%d", slot));
+      trace->AddPhaseInterval(obs::TracePhase::kQueueWait,
+                              req.enqueue_micros, now);
+    }
+
+    int64_t cpu_start = obs::ThreadCpuMicros();
+    bool already_dead = deadline > 0 && now > deadline;
+    if (req.response->cancel_.load(std::memory_order_relaxed)) {
+      result = util::Status::Cancelled("cancelled before dispatch");
+    } else if (already_dead) {
+      // Don't waste a slot on work nobody can use anymore.
+      result = util::Status::Cancelled("deadline exceeded before dispatch");
+    } else {
+      // Brown-out fault injection (benches/tests): burn clock time before
+      // planning so the request's latency blows its SLO target. A
+      // SimulatedClock jumps deterministically; a RealClock sleeps.
+      int64_t fault =
+          fault_execution_delay_micros_.load(std::memory_order_relaxed);
+      if (fault > 0) clock_->AdvanceMicros(fault);
+      query::QueryContext context;
+      context.clock = clock_;
+      context.deadline_micros = deadline;
+      context.cancel = &req.response->cancel_;
+      context.memory = &query_tracker;
+      // Slow-query forensics wants the offender's analyzed plan, and we
+      // only know a query was slow after it ran — so collect whenever the
+      // slow log is armed.
+      context.collect_analyze =
+          trace != nullptr && trace_store_.slow_threshold_micros() > 0;
+      // Adaptive knob override: batch size and parallelism are
+      // result-invariance axes, so retuning them per class changes
+      // latency, never answers.
+      if (adaptive_->options().enabled) {
+        AdaptiveKnobs knobs = adaptive_->knobs(cls);
+        req.request.planner.batch_size = knobs.batch_size;
+        req.request.planner.parallelism = knobs.parallelism;
+      }
+      result = planners_[static_cast<size_t>(slot)]->Run(
+          req.request.sql, req.request.planner, &context);
+    }
+    cpu_micros = obs::ThreadCpuMicros() - cpu_start;
+
+    end = clock_->NowMicros();
+    deadline_missed = deadline > 0 && end > deadline;
+    slo_[static_cast<size_t>(cls)]->Record(end - req.enqueue_micros,
+                                           result.ok());
+    adaptive_->Record(cls, end - req.enqueue_micros);
     {
-      DT_SPAN("server.execute");
-      int64_t now = clock_->NowMicros();
-      if (trace != nullptr) {
-        trace->set_lane(util::StringPrintf("slot-%d", slot));
-        trace->AddPhaseInterval(obs::TracePhase::kQueueWait,
-                                req.enqueue_micros, now);
-      }
-
-      int64_t cpu_start = obs::ThreadCpuMicros();
-      bool already_dead = deadline > 0 && now > deadline;
-      if (req.response->cancel_.load(std::memory_order_relaxed)) {
-        result = util::Status::Cancelled("cancelled before dispatch");
-      } else if (already_dead) {
-        // Don't waste a slot on work nobody can use anymore.
-        result = util::Status::Cancelled("deadline exceeded before dispatch");
+      std::lock_guard<std::mutex> lock(mu_);
+      ClassCounters& c = counters_[static_cast<size_t>(cls)];
+      if (result.ok()) {
+        ++c.completed;
+        m.completed->Increment();
+        m.latency_ms->Observe(
+            static_cast<double>(end - req.enqueue_micros) / 1000.0);
+      } else if (result.status().IsCancelled()) {
+        ++c.cancelled;
+        m.cancelled->Increment();
+        if (deadline_missed) {
+          ++c.deadline_missed;
+          m.deadline_missed->Increment();
+        }
       } else {
-        // Brown-out fault injection (benches/tests): burn clock time before
-        // planning so the request's latency blows its SLO target. A
-        // SimulatedClock jumps deterministically; a RealClock sleeps.
-        int64_t fault =
-            fault_execution_delay_micros_.load(std::memory_order_relaxed);
-        if (fault > 0) clock_->AdvanceMicros(fault);
-        query::QueryContext context;
-        context.clock = clock_;
-        context.deadline_micros = deadline;
-        context.cancel = &req.response->cancel_;
-        context.memory = &query_tracker;
-        // Slow-query forensics wants the offender's analyzed plan, and we
-        // only know a query was slow after it ran — so collect whenever the
-        // slow log is armed.
-        context.collect_analyze =
-            trace != nullptr && trace_store_.slow_threshold_micros() > 0;
-        // Adaptive knob override: batch size and parallelism are
-        // result-invariance axes, so retuning them per class changes
-        // latency, never answers.
-        if (adaptive_->options().enabled) {
-          AdaptiveKnobs knobs = adaptive_->knobs(cls);
-          req.request.planner.batch_size = knobs.batch_size;
-          req.request.planner.parallelism = knobs.parallelism;
-        }
-        result = planners_[static_cast<size_t>(slot)]->Run(
-            req.request.sql, req.request.planner, &context);
-      }
-      cpu_micros = obs::ThreadCpuMicros() - cpu_start;
-
-      end = clock_->NowMicros();
-      deadline_missed = deadline > 0 && end > deadline;
-      slo_[static_cast<size_t>(cls)]->Record(end - req.enqueue_micros,
-                                             result.ok());
-      adaptive_->Record(cls, end - req.enqueue_micros);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ClassCounters& c = counters_[static_cast<size_t>(cls)];
-        if (result.ok()) {
-          ++c.completed;
-          m.completed->Increment();
-          m.latency_ms->Observe(
-              static_cast<double>(end - req.enqueue_micros) / 1000.0);
-        } else if (result.status().IsCancelled()) {
-          ++c.cancelled;
-          m.cancelled->Increment();
-          if (deadline_missed) {
-            ++c.deadline_missed;
-            m.deadline_missed->Increment();
-          }
-        } else {
-          ++c.failed;
-          if (result.status().IsResourceExhausted()) ++c.memory_aborted;
-          m.failed->Increment();
-        }
+        ++c.failed;
+        if (result.status().IsResourceExhausted()) ++c.memory_aborted;
+        m.failed->Increment();
       }
     }
     if (trace != nullptr) {

@@ -86,7 +86,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 LogMessage::~LogMessage() {
   if (enabled_) {
     // Monotonic timestamp in the RealClock timebase, so log lines correlate
-    // with obs span start/end stamps.
+    // with trace phase stamps taken on the real clock.
     std::fprintf(stderr, "[%lld %s %s:%d] %s\n",
                  static_cast<long long>(RealClock::Instance()->NowMicros()),
                  LevelTag(level_), Basename(file_), line_,

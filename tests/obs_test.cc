@@ -1,6 +1,6 @@
-// Observability layer tests: metric registry semantics, span nesting with
-// simulated-clock attribution, and EXPLAIN / EXPLAIN ANALYZE through the
-// full parse -> plan -> execute pipeline.
+// Observability layer tests: metric registry semantics, labelled trace
+// sub-phases, and EXPLAIN / EXPLAIN ANALYZE through the full parse -> plan
+// -> execute pipeline.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/drugtree.h"
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/resource_tracker.h"
 #include "obs/slo_tracker.h"
-#include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "obs/trace_store.h"
 #include "query/planner.h"
@@ -24,7 +24,6 @@ namespace drugtree {
 namespace {
 
 using obs::MetricRegistry;
-using obs::Tracer;
 
 // ---------------------------------------------------------------------------
 // Metric registry
@@ -154,95 +153,98 @@ TEST(MetricRegistryTest, GaugeSetRacesSnapshotWithoutTearing) {
 }
 
 // ---------------------------------------------------------------------------
-// Span tracing
+// Labelled sub-phases: the plan steps and mobile frame steps are named
+// intervals of the per-query trace.
 // ---------------------------------------------------------------------------
 
-TEST(TracerTest, NestedSpansWithSimulatedClockAttribution) {
-  util::SimulatedClock clock;
-  Tracer* tracer = Tracer::Default();
-  tracer->set_clock(&clock);
-  tracer->set_capture(true);
-  tracer->Clear();
+/// How many intervals of `record` print as `name`.
+size_t CountIntervals(const obs::TraceRecord& record, const std::string& name) {
+  return static_cast<size_t>(
+      std::count_if(record.intervals.begin(), record.intervals.end(),
+                    [&](const obs::PhaseInterval& iv) {
+                      return iv.Name() == name;
+                    }));
+}
 
-  {
-    obs::ScopedSpan outer(tracer, "test.outer");
-    clock.AdvanceMicros(100);
-    {
-      obs::ScopedSpan inner(tracer, "test.inner");
-      clock.AdvanceMicros(250);
+TEST(TracePhaseLabelTest, PlanStepsAndMobileFrameStepsAreNamedIntervals) {
+  util::SimulatedClock build_clock;
+  core::BuildOptions options;
+  options.seed = 99;
+  options.num_families = 3;
+  options.taxa_per_family = 10;
+  options.sequence_length = 90;
+  options.num_ligands = 120;
+  auto built = core::DrugTree::Build(options, &build_clock);
+  ASSERT_TRUE(built.ok()) << built.status();
+  core::DrugTree* dt = built->get();
+
+  // A real-clock server, so the plan steps take measurable time. The same
+  // statement twice: a plan-cache miss, then a hit.
+  auto server = dt->MakeServer(server::ServerOptions(),
+                               util::RealClock::Instance());
+  for (int i = 0; i < 2; ++i) {
+    server::QueryRequest request;
+    request.sql = dt->OverlayQuerySql(dt->tree().root());
+    ASSERT_TRUE(server->Submit(std::move(request)).ok());
+  }
+  server->Drain();
+  std::vector<obs::TraceRecord> served = server->trace_store()->Snapshot();
+  ASSERT_EQ(served.size(), 2u);
+  for (size_t i = 0; i < served.size(); ++i) {
+    const obs::TraceRecord& r = served[i];
+    const bool miss = i == 0;
+    SCOPED_TRACE(miss ? "plan-cache miss" : "plan-cache hit");
+    EXPECT_EQ(r.counters.count(miss ? "plan_cache_miss" : "plan_cache_hit"),
+              1u);
+    EXPECT_EQ(CountIntervals(r, "plan/parse"), 1u);
+    EXPECT_EQ(CountIntervals(r, "plan/normalize"), 1u);
+    EXPECT_EQ(CountIntervals(r, "plan/plan_cache"), 1u);
+    EXPECT_EQ(CountIntervals(r, "plan/optimize"), miss ? 1u : 0u);
+    EXPECT_EQ(CountIntervals(r, "plan/physical"), 1u);
+    // Every plan interval is labelled, so the labelled steps add up to the
+    // phase total exactly.
+    int64_t labelled_micros = 0;
+    for (const obs::PhaseInterval& iv : r.intervals) {
+      if (iv.phase != obs::TracePhase::kPlan) continue;
+      EXPECT_NE(iv.label, nullptr);
+      labelled_micros += iv.DurationMicros();
     }
-    clock.AdvanceMicros(50);
+    EXPECT_EQ(r.PhaseMicros(obs::TracePhase::kPlan), labelled_micros);
+    std::string timeline = r.TimelineString();
+    EXPECT_NE(timeline.find("plan/parse"), std::string::npos);
+    EXPECT_NE(timeline.find("plan/physical"), std::string::npos);
+    EXPECT_EQ(timeline.find("plan/optimize") != std::string::npos, miss);
   }
-  tracer->set_clock(nullptr);
-  tracer->set_capture(false);
+  EXPECT_GT(served[0].PhaseMicros(obs::TracePhase::kPlan), 0);
 
-  const obs::Span* root = tracer->last_trace();
-  ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->name, "test.outer");
-  EXPECT_EQ(root->DurationMicros(), 400);
-  EXPECT_EQ(root->SelfMicros(), 150);
-  ASSERT_EQ(root->children.size(), 1u);
-  EXPECT_EQ(root->children[0]->name, "test.inner");
-  EXPECT_EQ(root->children[0]->DurationMicros(), 250);
+  // A traced mobile session: each frame splits its serialize phase into the
+  // LOD cut and the frame encoding.
+  obs::TraceStore sink;
+  mobile::SessionOptions session_options;
+  session_options.trace_sink = &sink;
+  session_options.charge_real_compute = false;
+  auto session = dt->MakeSession(mobile::DeviceProfile::Phone3G(),
+                                 session_options,
+                                 query::PlannerOptions::Optimized());
+  mobile::Action load;
+  load.kind = mobile::ActionKind::kInitialLoad;
+  ASSERT_TRUE(session.Run({load}).ok());
+  std::vector<obs::TraceRecord> frames = sink.Snapshot();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(CountIntervals(frames[0], "serialize/lod_cut"), 1u);
+  EXPECT_EQ(CountIntervals(frames[0], "serialize/frame_encode"), 1u);
+  EXPECT_NE(frames[0].TimelineString().find("serialize/frame_encode"),
+            std::string::npos);
 
-  std::string rendered = tracer->RenderLastTrace();
-  EXPECT_NE(rendered.find("test.outer"), std::string::npos);
-  EXPECT_NE(rendered.find("test.inner"), std::string::npos);
-  std::string json = tracer->LastTraceJson();
-  EXPECT_NE(json.find("\"name\":\"test.inner\""), std::string::npos);
-}
-
-TEST(TracerTest, SpansMirrorIntoRegistry) {
-  util::SimulatedClock clock;
-  Tracer* tracer = Tracer::Default();
-  tracer->set_clock(&clock);
-  tracer->set_capture(true);
-  MetricRegistry::Default()->ResetAll();
-
-  for (int i = 0; i < 3; ++i) {
-    obs::ScopedSpan span(tracer, "test.mirrored");
-    clock.AdvanceMicros(10);
+  served.push_back(frames[0]);
+  std::string chrome = obs::ExportChromeTrace(served);
+  for (const char* name : {"plan/parse", "plan/normalize", "plan/plan_cache",
+                           "plan/optimize", "plan/physical",
+                           "serialize/lod_cut", "serialize/frame_encode"}) {
+    EXPECT_NE(chrome.find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
   }
-  tracer->set_clock(nullptr);
-  tracer->set_capture(false);
-
-  auto snapshot = MetricRegistry::Default()->Snapshot();
-  EXPECT_EQ(snapshot.Value("span.test.mirrored.count"), 3);
-  EXPECT_EQ(snapshot.Value("span.test.mirrored.total_micros"), 30);
-}
-
-TEST(TracerTest, SiteSpansMirrorWithoutCapture) {
-  // DT_SPAN's default path: capture off means no span tree is built, but the
-  // per-site counters still accumulate off the tracer clock.
-  util::SimulatedClock clock;
-  Tracer* tracer = Tracer::Default();
-  tracer->set_clock(&clock);
-  tracer->Clear();
-  MetricRegistry::Default()->ResetAll();
-  ASSERT_FALSE(tracer->capturing());
-
-  static const obs::SpanSite site("test.nocapture");
-  for (int i = 0; i < 4; ++i) {
-    obs::ScopedSpan span(tracer, site);
-    clock.AdvanceMicros(25);
-  }
-  tracer->set_clock(nullptr);
-
-  auto snapshot = MetricRegistry::Default()->Snapshot();
-  EXPECT_EQ(snapshot.Value("span.test.nocapture.count"), 4);
-  EXPECT_EQ(snapshot.Value("span.test.nocapture.total_micros"), 100);
-  EXPECT_EQ(tracer->last_trace(), nullptr);
-}
-
-TEST(TracerTest, DisabledTracerIsInert) {
-  Tracer* tracer = Tracer::Default();
-  tracer->Clear();
-  tracer->set_enabled(false);
-  {
-    obs::ScopedSpan span(tracer, "test.disabled");
-  }
-  tracer->set_enabled(true);
-  EXPECT_EQ(tracer->last_trace(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

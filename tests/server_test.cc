@@ -20,6 +20,7 @@
 #include "obs/trace_store.h"
 #include "server/server.h"
 #include "util/clock.h"
+#include "util/string_util.h"
 
 namespace drugtree {
 namespace server {
@@ -331,6 +332,60 @@ TEST_F(ServerTest, SlowQueryLogCapturesTimelineAndAnalyzedPlan) {
   ASSERT_FALSE(slow[0].analyzed_plan.empty());
   EXPECT_NE(slow[0].analyzed_plan.find("rows="), std::string::npos);
   EXPECT_NE(slow[0].TimelineString().find("queue_wait"), std::string::npos);
+}
+
+TEST(ServerClockTest, AnalyzeTimesOperatorsOnTheServerClock) {
+  // An armed slow log makes every query collect EXPLAIN ANALYZE. On a
+  // virtual-clock server the operators must be timed on that clock (where
+  // execution takes zero time), never on real time: otherwise the cost
+  // calibrator folds in wall-clock observations and replays stop being
+  // deterministic.
+  util::SimulatedClock clock;
+  core::BuildOptions build;
+  build.seed = 13;
+  build.num_families = 6;
+  build.taxa_per_family = 24;
+  build.num_ligands = 300;
+  auto built = core::DrugTree::Build(build, &clock);
+  ASSERT_TRUE(built.ok()) << built.status();
+  ServerOptions options;
+  options.slow_query_micros = 10'000;
+  auto server = (*built)->MakeServer(options);
+  for (int i = 0; i < 4; ++i) {
+    QueryRequest join;
+    join.sql = util::StringPrintf(
+        "SELECT p.accession, a.ligand_id, a.affinity_nm "
+        "FROM proteins p, activities a WHERE p.accession = a.accession "
+        "AND a.affinity_nm < %d.0 ORDER BY a.affinity_nm",
+        100 + 100 * i);
+    join.query_class = QueryClass::kAnalytic;
+    ASSERT_TRUE(server->Submit(std::move(join)).ok());
+    QueryRequest aggregate;
+    aggregate.sql = util::StringPrintf(
+        "SELECT p.family, COUNT(*), AVG(a.affinity_nm) "
+        "FROM proteins p, activities a WHERE p.accession = a.accession "
+        "AND a.affinity_nm < %d.0 GROUP BY p.family",
+        200 + 100 * i);
+    aggregate.query_class = QueryClass::kAnalytic;
+    ASSERT_TRUE(server->Submit(std::move(aggregate)).ok());
+  }
+  server->Drain();
+
+  EXPECT_EQ(server->cost_calibrator()->observations(), 0);
+  std::vector<obs::TraceRecord> records = server->trace_store()->Snapshot();
+  ASSERT_EQ(records.size(), 8u);
+  for (const obs::TraceRecord& r : records) {
+    ASSERT_FALSE(r.analyzed_plan.empty()) << r.sql;
+    size_t operators = 0;
+    for (size_t pos = r.analyzed_plan.find("time=");
+         pos != std::string::npos;
+         pos = r.analyzed_plan.find("time=", pos + 1)) {
+      ++operators;
+      EXPECT_EQ(r.analyzed_plan.compare(pos, 13, "time=0.000ms)"), 0)
+          << r.analyzed_plan;
+    }
+    EXPECT_GE(operators, 3u) << r.analyzed_plan;
+  }
 }
 
 TEST_F(ServerTest, SlowQueryEnvOverridesConfiguredThreshold) {
