@@ -4,25 +4,25 @@ namespace drugtree {
 namespace mobile {
 
 void ClientCache::Install(const std::vector<LodNode>& nodes) {
+  std::vector<int64_t> evicted;
   for (const auto& n : nodes) {
-    cache_.Put(n.id, n.collapsed, kBytesPerNode);
+    evicted.clear();
+    if (!cache_.Put(n.id, n.collapsed, kBytesPerNode, &evicted)) continue;
+    // A re-install may flip the flag, so the id leaves the other set.
+    (n.collapsed ? expanded_ : collapsed_).erase(n.id);
+    (n.collapsed ? collapsed_ : expanded_).insert(n.id);
+    // Victims leave now: a later node of the same frame may bring one back.
+    for (int64_t id : evicted) {
+      collapsed_.erase(id);
+      expanded_.erase(id);
+    }
   }
 }
 
-std::unordered_set<int64_t> ClientCache::CollapsedIds() const {
-  std::unordered_set<int64_t> out;
-  cache_.ForEach([&](const int64_t& id, const bool& collapsed) {
-    if (collapsed) out.insert(id);
-  });
-  return out;
-}
-
-std::unordered_set<int64_t> ClientCache::ExpandedIds() const {
-  std::unordered_set<int64_t> out;
-  cache_.ForEach([&](const int64_t& id, const bool& collapsed) {
-    if (!collapsed) out.insert(id);
-  });
-  return out;
+void ClientCache::Clear() {
+  cache_.Clear();
+  collapsed_.clear();
+  expanded_.clear();
 }
 
 }  // namespace mobile

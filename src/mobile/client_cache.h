@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "mobile/protocol.h"
 #include "storage/lru_cache.h"
@@ -23,18 +24,25 @@ class ClientCache {
   /// Installs shipped nodes (called after a frame arrives).
   void Install(const std::vector<LodNode>& nodes);
 
-  /// The node-id sets the delta encoder consults. Rebuilt lazily from the
-  /// LRU state on each call.
-  std::unordered_set<int64_t> CollapsedIds() const;
-  std::unordered_set<int64_t> ExpandedIds() const;
+  /// The node-id sets the delta encoder consults: the ids the LRU holds
+  /// collapsed, and the ids it holds expanded. Kept up to date by Install
+  /// (inserts, re-installs with a flipped flag, evictions) and Clear, so a
+  /// frame probes them instead of rebuilding them.
+  const std::unordered_set<int64_t>& CollapsedIds() const {
+    return collapsed_;
+  }
+  const std::unordered_set<int64_t>& ExpandedIds() const { return expanded_; }
 
   size_t size() const { return cache_.size(); }
   const storage::CacheStats& stats() const { return cache_.stats(); }
-  void Clear() { cache_.Clear(); }
+  void Clear();
 
  private:
   // Key: node id; value: collapsed flag. Charge = kBytesPerNode.
-  mutable storage::LruCache<int64_t, bool> cache_;
+  storage::LruCache<int64_t, bool> cache_;
+  // Exactly the LRU's keys, split by their collapsed flag.
+  std::unordered_set<int64_t> collapsed_;
+  std::unordered_set<int64_t> expanded_;
 };
 
 }  // namespace mobile

@@ -1,6 +1,7 @@
 #include "obs/trace_context.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/string_util.h"
 
@@ -58,16 +59,35 @@ std::string TraceRecord::TimelineString() const {
         (long long)peak_memory_bytes, (long long)cpu_micros);
   }
   for (const auto& [name, value] : counters) {
-    out += util::StringPrintf("  #%s=%lld\n", name.c_str(), (long long)value);
+    out += util::StringPrintf("  #%s=%lld\n", name, (long long)value);
   }
   if (!sql.empty()) out += "  sql: " + sql + "\n";
   return out;
+}
+
+int64_t TraceRecord::PhaseMicros(TracePhase phase) const {
+  int64_t total = 0;
+  for (const PhaseInterval& iv : intervals) {
+    if (iv.phase == phase) total += iv.DurationMicros();
+  }
+  return total;
+}
+
+int64_t TraceRecord::Counter(const char* name) const {
+  for (const auto& [n, value] : counters) {
+    if (std::strcmp(n, name) == 0) return value;
+  }
+  return 0;
 }
 
 TraceContext::TraceContext(uint64_t trace_id, const util::Clock* clock)
     : trace_id_(trace_id), clock_(clock), begin_micros_(clock->NowMicros()) {
   record_.trace_id = trace_id;
   record_.begin_micros = begin_micros_;
+  // A served request closes eight or nine intervals (admit, queue wait, up
+  // to five plan steps, execute, serialize): one exact allocation instead
+  // of growing through five, which the trace ring would then retain.
+  record_.intervals.reserve(kTypicalIntervals);
   open_start_.fill(-1);
 }
 
@@ -102,7 +122,6 @@ void TraceContext::EndPhase(TracePhase phase, const char* label) {
   if (start < 0) return;  // unmatched close
   int64_t end = clock_->NowMicros();
   record_.intervals.push_back({phase, label, start, end});
-  record_.phase_micros[static_cast<size_t>(phase)] += end - start;
   start = -1;
 }
 
@@ -111,8 +130,6 @@ void TraceContext::AddPhaseInterval(TracePhase phase, int64_t start_micros,
   if (end_micros < start_micros) end_micros = start_micros;
   std::lock_guard<std::mutex> lock(mu_);
   record_.intervals.push_back({phase, nullptr, start_micros, end_micros});
-  record_.phase_micros[static_cast<size_t>(phase)] +=
-      end_micros - start_micros;
 }
 
 void TraceContext::AddBlockedMicros(TracePhase phase, int64_t micros) {
@@ -127,9 +144,17 @@ void TraceContext::AddFetchEvent(int channel, int64_t start_micros,
   record_.fetches.push_back({channel, start_micros, end_micros, bytes});
 }
 
-void TraceContext::BumpCounter(const std::string& name, int64_t delta) {
+void TraceContext::BumpCounter(const char* name, int64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  record_.counters[name] += delta;
+  auto& counters = record_.counters;
+  auto it = std::find_if(counters.begin(), counters.end(),
+                         [&](const std::pair<const char*, int64_t>& c) {
+                           return std::strcmp(c.first, name) >= 0;
+                         });
+  if (it == counters.end() || std::strcmp(it->first, name) != 0) {
+    it = counters.insert(it, {name, 0});
+  }
+  it->second += delta;
 }
 
 void TraceContext::set_analyzed_plan(std::string analyzed_plan) {
@@ -149,7 +174,7 @@ void TraceContext::set_cpu_micros(int64_t micros) {
 
 int64_t TraceContext::PhaseMicros(TracePhase phase) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return record_.phase_micros[static_cast<size_t>(phase)];
+  return record_.PhaseMicros(phase);
 }
 
 TraceRecord TraceContext::Finish(std::string status, bool ok) {
@@ -159,8 +184,6 @@ TraceRecord TraceContext::Finish(std::string status, bool ok) {
     if (open_start_[static_cast<size_t>(p)] >= 0) {
       record_.intervals.push_back({static_cast<TracePhase>(p), nullptr,
                                    open_start_[static_cast<size_t>(p)], now});
-      record_.phase_micros[static_cast<size_t>(p)] +=
-          now - open_start_[static_cast<size_t>(p)];
       open_start_[static_cast<size_t>(p)] = -1;
     }
   }

@@ -24,9 +24,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/clock.h"
@@ -96,10 +96,14 @@ struct TraceRecord {
   bool slow = false;
   int64_t begin_micros = 0;
   int64_t end_micros = 0;
-  std::array<int64_t, kNumTracePhases> phase_micros{};
+  /// The phase timeline, sorted by start time. Per-phase totals are sums
+  /// over it (PhaseMicros), not a second copy kept beside it.
   std::vector<PhaseInterval> intervals;
   std::vector<FetchEvent> fetches;
-  std::map<std::string, int64_t> counters;  // cache hits, retries, ...
+  /// Named per-trace counts (cache hits, retries, ...), sorted by name.
+  /// Names are string literals, like PhaseInterval labels. A flat vector:
+  /// a record carries one or two, and the store retains thousands.
+  std::vector<std::pair<const char*, int64_t>> counters;
   /// Peak bytes held by the request's MemoryTracker over its lifetime
   /// (deterministic on a virtual-clock workload: charges are byte counts,
   /// not times). 0 when the server ran without resource accounting.
@@ -113,9 +117,10 @@ struct TraceRecord {
   std::string analyzed_plan;
 
   int64_t TotalMicros() const { return end_micros - begin_micros; }
-  int64_t PhaseMicros(TracePhase phase) const {
-    return phase_micros[static_cast<size_t>(phase)];
-  }
+  /// The named counter's value; 0 when it was never bumped.
+  int64_t Counter(const char* name) const;
+  /// Total micros of `phase`'s intervals.
+  int64_t PhaseMicros(TracePhase phase) const;
 
   /// The full phase timeline, one interval per line — what the slow-query
   /// log dumps:
@@ -169,7 +174,8 @@ class TraceContext {
                      uint64_t bytes);
 
   /// Adds `delta` to the named per-trace counter (cache hits, retries, ...).
-  void BumpCounter(const std::string& name, int64_t delta = 1);
+  /// `name` must be a string literal (static storage).
+  void BumpCounter(const char* name, int64_t delta = 1);
 
   /// Stores the EXPLAIN ANALYZE text of the executed plan.
   void set_analyzed_plan(std::string analyzed_plan);
@@ -192,6 +198,8 @@ class TraceContext {
 
  private:
   friend class ScopedTraceContext;
+
+  static constexpr size_t kTypicalIntervals = 9;
 
   const uint64_t trace_id_;
   const util::Clock* clock_;

@@ -101,7 +101,15 @@ void TraceStore::Record(TraceRecord record) {
 }
 
 std::vector<TraceRecord> TraceStore::Snapshot() const {
+  // Size the copy once: a full ring holds thousands of records, and growing
+  // the vector shard by shard would reallocate and move them four times.
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.ring.size();
+  }
   std::vector<TraceRecord> out;
+  out.reserve(total);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     out.insert(out.end(), shard.ring.begin(), shard.ring.end());
@@ -257,7 +265,7 @@ std::vector<TailAttribution> ComputeTailAttribution(
       ++attr.tail_count;
       int64_t attributed = 0;
       for (int p = 0; p < kNumTracePhases; ++p) {
-        int64_t micros = r->phase_micros[static_cast<size_t>(p)];
+        int64_t micros = r->PhaseMicros(static_cast<TracePhase>(p));
         // fetch_blocked accrues inside execute: report execute net of it.
         if (static_cast<TracePhase>(p) == TracePhase::kExecute) {
           micros = std::max<int64_t>(

@@ -359,16 +359,21 @@ util::Result<QueryOutcome> Planner::Run(const std::string& sql,
       plan_cache_->Install(norm.fingerprint, optimized, norm.params, versions);
     }
   }
-  outcome.logical_plan = optimized->ToString();
+  // Plan text is rendered only for EXPLAIN [ANALYZE], the one reader of
+  // it; a served query would render it and drop it.
+  const bool explain = stmt.explain != ExplainMode::kNone;
+  if (explain) outcome.logical_plan = optimized->ToString();
   DRUGTREE_ASSIGN_OR_RETURN(PhysicalPtr physical, [&] {
     obs::TracePhaseScope plan_phase(obs::TracePhase::kPlan, "physical");
     return ToPhysical(optimized, options, &outcome.stats);
   }());
-  outcome.physical_plan = physical->ExplainString();
-  if (outcome.from_plan_cache) {
-    // Mirror the shard router's "route: ..." convention so EXPLAIN shows
-    // when the optimizer was skipped.
-    outcome.physical_plan = "plan: cached\n" + outcome.physical_plan;
+  if (explain) {
+    outcome.physical_plan = physical->ExplainString();
+    if (outcome.from_plan_cache) {
+      // Mirror the shard router's "route: ..." convention so EXPLAIN shows
+      // when the optimizer was skipped.
+      outcome.physical_plan = "plan: cached\n" + outcome.physical_plan;
+    }
   }
   if (stmt.explain == ExplainMode::kPlan) {
     // Plan-only: the plan texts are the result.

@@ -56,8 +56,12 @@ struct PlannerOptions {
 /// The outcome of running one statement, including plan introspection.
 struct QueryOutcome {
   QueryResult result;
-  std::string logical_plan;   // optimized logical plan (EXPLAIN text)
-  std::string physical_plan;  // physical plan (EXPLAIN text)
+  /// EXPLAIN [ANALYZE] only: the optimized logical plan and the physical
+  /// plan (prefixed "plan: cached" on a plan-cache hit). Empty otherwise,
+  /// except that ShardRouter::Submit always leads physical_plan with its
+  /// "route: ..." line.
+  std::string logical_plan;
+  std::string physical_plan;
   /// For EXPLAIN ANALYZE: the executed plan annotated with per-operator
   /// rows_out / Next() calls / cumulative time. Empty otherwise.
   std::string analyzed_plan;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/trace_context.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace drugtree {
@@ -323,7 +324,7 @@ ResponseHandle DrugTreeServer::SubmitAsync(QueryRequest request) {
     if (trace != nullptr) {
       trace->AddPhaseInterval(obs::TracePhase::kAdmit, submit_micros,
                               clock_->NowMicros());
-      trace_store_.Record(
+      FileTrace(
           trace->Finish(memory_shed ? "shed_memory" : "shed", /*ok=*/false));
     }
     // Tick before Complete() publishes: a serialized virtual-clock client is
@@ -332,6 +333,18 @@ ResponseHandle DrugTreeServer::SubmitAsync(QueryRequest request) {
     Complete(handle.state_, std::move(admitted));
   }
   return handle;
+}
+
+void DrugTreeServer::FileTrace(obs::TraceRecord record) {
+  int64_t slow = trace_store_.slow_threshold_micros();
+  bool logged_as_slow = slow > 0 && record.TotalMicros() >= slow;
+  if (!record.ok && !logged_as_slow &&
+      failures_logged_.fetch_add(1, std::memory_order_relaxed) <
+          kMaxFailureLogs) {
+    DT_LOG(WARNING) << "request failed (" << record.status << ")\n"
+                    << record.TimelineString();
+  }
+  trace_store_.Record(std::move(record));
 }
 
 util::Result<query::QueryOutcome> DrugTreeServer::Submit(
@@ -652,7 +665,7 @@ void DrugTreeServer::Execute(PendingRequest req, int slot) {
                            : result.status().IsCancelled()
                                ? (deadline_missed ? "deadline" : "cancelled")
                                : result.status().ToString();
-      trace_store_.Record(trace->Finish(std::move(status), result.ok()));
+      FileTrace(trace->Finish(std::move(status), result.ok()));
     }
   }
   // Same contract as the trace record above: sample before the waiter can

@@ -326,6 +326,12 @@ class DrugTreeServer {
   /// completes its response state and releases the slot.
   void Execute(PendingRequest req, int slot);
 
+  /// Files a finished request's record in the trace store. A failed one
+  /// (shed, deadline, cancelled, error) is also logged at WARNING with its
+  /// timeline, for the first kMaxFailureLogs failures of this server,
+  /// unless the slow-query log already prints it.
+  void FileTrace(obs::TraceRecord record);
+
   /// Completes a response state (own mutex; safe without mu_).
   static void Complete(const std::shared_ptr<ResponseState>& state,
                        util::Result<query::QueryOutcome> result);
@@ -334,6 +340,8 @@ class DrugTreeServer {
   util::Clock* clock_;
   ServerOptions options_;
   obs::TraceStore trace_store_;
+  static constexpr int64_t kMaxFailureLogs = 16;
+  std::atomic<int64_t> failures_logged_{0};
   std::atomic<uint64_t> next_trace_id_{1};
   std::atomic<uint64_t> next_query_id_{1};
   /// Root of the tracker hierarchy; class nodes are owned children. Session

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/resource_tracker.h"
@@ -66,9 +67,12 @@ class LruCache {
   }
 
   /// Inserts or overwrites. charge must be >= 1. Entries larger than the
-  /// whole capacity are not cached.
-  void Put(const K& key, V value, uint64_t charge = 1) {
-    if (charge > capacity_) return;
+  /// whole capacity are not cached (returns false). When `evicted` is
+  /// non-null, the keys of the LRU entries this insert pushed out are
+  /// appended to it (never `key` itself).
+  bool Put(const K& key, V value, uint64_t charge = 1,
+           std::vector<K>* evicted = nullptr) {
+    if (charge > capacity_) return false;
     auto it = map_.find(key);
     if (it != map_.end()) {
       SubUsed(it->second.charge);
@@ -79,7 +83,8 @@ class LruCache {
     map_.emplace(key, Entry{std::move(value), charge, order_.begin()});
     AddUsed(charge);
     ++stats_.insertions;
-    EvictIfNeeded();
+    EvictIfNeeded(evicted);
+    return true;
   }
 
   /// Looks a key up, refreshing recency. Returns nullopt on miss.
@@ -116,13 +121,6 @@ class LruCache {
     SubUsed(used_);
   }
 
-  /// Visits every (key, value) pair in unspecified order (no recency
-  /// update). fn(const K&, const V&).
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const auto& [k, e] : map_) fn(k, e.value);
-  }
-
   size_t size() const { return map_.size(); }
   uint64_t used() const { return used_; }
   uint64_t capacity() const { return capacity_; }
@@ -135,9 +133,10 @@ class LruCache {
     typename std::list<K>::iterator pos;
   };
 
-  void EvictIfNeeded() {
+  void EvictIfNeeded(std::vector<K>* evicted) {
     while (used_ > capacity_ && !order_.empty()) {
       const K& victim = order_.back();
+      if (evicted != nullptr) evicted->push_back(victim);
       auto it = map_.find(victim);
       SubUsed(it->second.charge);
       map_.erase(it);

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <memory>
 #include <set>
+#include <thread>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "core/drugtree.h"
 #include "mobile/client_cache.h"
 #include "mobile/device.h"
 #include "mobile/lod.h"
@@ -236,6 +244,91 @@ TEST(ClientCacheTest, BudgetEnforced) {
   EXPECT_LE(cache.size(), 5u);
 }
 
+// Brute-force model of the client cache: an MRU-first list of (id,
+// collapsed) bounded at `capacity` nodes, with the held-id sets derived from
+// scratch each time.
+class LruModel {
+ public:
+  explicit LruModel(size_t capacity) : capacity_(capacity) {}
+
+  void Install(const std::vector<LodNode>& nodes) {
+    for (const LodNode& n : nodes) {
+      entries_.remove_if(
+          [&](const std::pair<int64_t, bool>& e) { return e.first == n.id; });
+      entries_.emplace_front(n.id, n.collapsed);
+      if (entries_.size() > capacity_) entries_.pop_back();
+    }
+  }
+  void Clear() { entries_.clear(); }
+  std::set<int64_t> Ids(bool collapsed) const {
+    std::set<int64_t> out;
+    for (const auto& [id, c] : entries_) {
+      if (c == collapsed) out.insert(id);
+    }
+    return out;
+  }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  size_t capacity_;
+  std::list<std::pair<int64_t, bool>> entries_;
+};
+
+std::set<int64_t> Sorted(const std::unordered_set<int64_t>& ids) {
+  return std::set<int64_t>(ids.begin(), ids.end());
+}
+
+void ExpectSameSets(const ClientCache& cache, const LruModel& model) {
+  EXPECT_EQ(Sorted(cache.CollapsedIds()), model.Ids(true));
+  EXPECT_EQ(Sorted(cache.ExpandedIds()), model.Ids(false));
+  EXPECT_EQ(cache.size(), model.size());
+}
+
+TEST(ClientCacheTest, HeldSetsMatchBruteForceLruModel) {
+  ClientCache cache(5 * kBytesPerNode);
+  LruModel model(5);
+  util::Rng rng(17);
+  for (int step = 0; step < 2000; ++step) {
+    if (rng.Uniform(50) == 0) {
+      cache.Clear();
+      model.Clear();
+      ExpectSameSets(cache, model);
+      continue;
+    }
+    // Few distinct ids, so re-installs (often with a flipped collapsed
+    // flag) and evictions are both frequent.
+    std::vector<LodNode> nodes(rng.Uniform(8));
+    for (LodNode& n : nodes) {
+      n.id = static_cast<int64_t>(rng.Uniform(12));
+      n.collapsed = rng.Uniform(2) == 0;
+    }
+    cache.Install(nodes);
+    model.Install(nodes);
+    ExpectSameSets(cache, model);
+    if (HasFailure()) {
+      ADD_FAILURE() << "diverged at step " << step;
+      return;
+    }
+  }
+}
+
+TEST(ClientCacheTest, ReinstallWithFlippedFlagMovesTheId) {
+  ClientCache cache(5 * kBytesPerNode);
+  LodNode n;
+  n.id = 7;
+  n.collapsed = false;
+  cache.Install({n});
+  n.collapsed = true;
+  cache.Install({n});
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.CollapsedIds().count(7));
+  EXPECT_FALSE(cache.ExpandedIds().count(7));
+  cache.Clear();
+  EXPECT_TRUE(cache.CollapsedIds().empty());
+  EXPECT_TRUE(cache.ExpandedIds().empty());
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST(TraceTest, StartsWithInitialLoadAndIsDeterministic) {
   auto b = MakeBalancedTree(5);
   TraceParams params;
@@ -339,6 +432,167 @@ TEST(SessionTest, OverlayQueryCallbackInvoked) {
   auto report = session.Run(trace);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(calls, 1);
+}
+
+// Golden session figures on a virtual clock. Every number below was recorded
+// with the client cache rebuilding its held-id sets from the LRU on every
+// frame; keeping the sets up to date incrementally must not move any of
+// them. The second device's 64-node cache evicts on most frames.
+SessionReport RunGoldenSession(const DeviceProfile& device) {
+  auto b = MakeBalancedTree(8);  // 511 nodes
+  TraceParams tp;
+  tp.num_actions = 2000;
+  util::Rng rng(2024);
+  auto trace = GenerateTrace(b.tree, *b.index, tp, &rng);
+  util::SimulatedClock clock;
+  SessionOptions opts;
+  opts.charge_real_compute = false;
+  MobileSession session(&b.tree, b.index.get(), b.layout.get(), {}, device,
+                        &clock, opts);
+  auto report = session.Run(trace);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return report.ok() ? *report : SessionReport();
+}
+
+TEST(SessionGoldenTest, Phone3G) {
+  SessionReport r = RunGoldenSession(DeviceProfile::Phone3G());
+  EXPECT_EQ(r.bytes_shipped, 372096u);
+  EXPECT_EQ(r.nodes_shipped, 1632u);
+  EXPECT_EQ(r.nodes_delta_skipped, 33501u);
+  EXPECT_EQ(r.frames, 1705u);
+  EXPECT_EQ(r.total_session_micros, 1504753373);
+  EXPECT_EQ(r.latency_ms.Percentile(50), 252.31965753656178);
+  EXPECT_EQ(r.latency_ms.Percentile(99), 329.12621734299881);
+}
+
+TEST(SessionGoldenTest, EvictingSixtyFourNodeCache) {
+  DeviceProfile device = DeviceProfile::Phone3G();
+  device.cache_bytes = 64 * kBytesPerNode;
+  SessionReport r = RunGoldenSession(device);
+  EXPECT_EQ(r.bytes_shipped, 645312u);
+  EXPECT_EQ(r.nodes_shipped, 7324u);
+  EXPECT_EQ(r.nodes_delta_skipped, 27809u);
+  EXPECT_EQ(r.frames, 1705u);
+  EXPECT_EQ(r.total_session_micros, 1507280621);
+  EXPECT_EQ(r.latency_ms.Percentile(50), 253.49904310855862);
+  EXPECT_EQ(r.latency_ms.Percentile(99), 329.34121663807946);
+}
+
+// The mobile_browse shape in miniature: four served sessions (two phones,
+// two tablets), each on its own thread and simulated clock, share one
+// real-clock DrugTreeServer with no overlay deadline, so no overlay may be
+// shed or cancelled and every visit's report must account for each action.
+TEST(ServedSessionsTest, FourThreadsShareOneServer) {
+  util::SimulatedClock build_clock;
+  core::BuildOptions build;
+  build.seed = 7;
+  build.num_families = 3;
+  build.taxa_per_family = 10;
+  build.sequence_length = 90;
+  build.num_ligands = 120;
+  auto built = core::DrugTree::Build(build, &build_clock);
+  ASSERT_TRUE(built.ok()) << built.status();
+  core::DrugTree* dt = built->get();
+  auto server =
+      dt->MakeServer(server::ServerOptions(), util::RealClock::Instance());
+
+  constexpr int kSessions = 4;
+  constexpr int kVisits = 4;
+  constexpr int kVisitActions = 40;
+  const DeviceProfile devices[kSessions] = {
+      DeviceProfile::Phone3G(), DeviceProfile::TabletWifi(),
+      DeviceProfile::Phone3G(), DeviceProfile::TabletWifi()};
+  std::vector<std::unique_ptr<util::SimulatedClock>> clocks;
+  std::vector<std::unique_ptr<MobileSession>> sessions;
+  std::vector<std::vector<Action>> traces;
+  for (int s = 0; s < kSessions; ++s) {
+    clocks.push_back(std::make_unique<util::SimulatedClock>());
+    ServedQueryConfig served;
+    served.server = server.get();
+    served.session_id = static_cast<uint64_t>(s + 1);
+    served.overlay_deadline_micros = 0;
+    served.overlay_sql = [dt](NodeId node) {
+      return dt->OverlayQuerySql(node);
+    };
+    sessions.push_back(std::make_unique<MobileSession>(
+        &dt->tree(), &dt->tree_index(), &dt->layout(),
+        dt->overlay()->AnnotationVector(), devices[s], clocks.back().get(),
+        SessionOptions(), nullptr, std::move(served)));
+    TraceParams tp;
+    tp.num_actions = kVisits * kVisitActions;
+    traces.push_back(dt->MakeTrace(tp, 100 + static_cast<uint64_t>(s)));
+  }
+
+  struct Totals {
+    int inconsistent = 0;
+    int errors = 0;
+    uint64_t overlays = 0;
+    uint64_t shed = 0;
+    uint64_t deadline_missed = 0;
+  };
+  Totals totals[kSessions];
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      for (int v = 0; v < kVisits; ++v) {
+        std::vector<Action> visit(
+            traces[s].begin() + v * kVisitActions,
+            traces[s].begin() + (v + 1) * kVisitActions);
+        util::Result<SessionReport> report = sessions[s]->Run(visit);
+        if (!report.ok()) {
+          ++totals[s].errors;
+          continue;
+        }
+        if (report->frames + report->overlay_queries != visit.size()) {
+          ++totals[s].inconsistent;
+        }
+        totals[s].overlays += report->overlay_queries;
+        totals[s].shed += report->overlay_shed;
+        totals[s].deadline_missed += report->overlay_deadline_missed;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  uint64_t overlays = 0;
+  for (int s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(totals[s].errors, 0) << "session " << s;
+    EXPECT_EQ(totals[s].inconsistent, 0) << "session " << s;
+    EXPECT_EQ(totals[s].shed, 0u) << "session " << s;
+    EXPECT_EQ(totals[s].deadline_missed, 0u) << "session " << s;
+    overlays += totals[s].overlays;
+  }
+  EXPECT_GT(overlays, 0u);
+  EXPECT_EQ(server->counters(server::QueryClass::kInteractive).shed, 0);
+
+  // A sampled overlay focus (one small enough that LIMIT 50 cuts no tied
+  // rows), served by the shared server, against the naive planner.
+  NodeId sample = -1;
+  for (const std::vector<Action>& trace : traces) {
+    for (const Action& a : trace) {
+      if (a.kind == ActionKind::kOverlayQuery &&
+          dt->tree_index().SubtreeSize(a.node) < 50) {
+        sample = a.node;
+        break;
+      }
+    }
+    if (sample >= 0) break;
+  }
+  ASSERT_GE(sample, 0);
+  server::QueryRequest request;
+  request.session_id = 99;
+  request.sql = dt->OverlayQuerySql(sample);
+  auto got = server->Submit(std::move(request));
+  ASSERT_TRUE(got.ok()) << got.status();
+  auto want = dt->Query(dt->OverlayQuerySql(sample),
+                        query::PlannerOptions::Naive());
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_EQ(got->result.columns, want->result.columns);
+  std::vector<storage::Row> got_rows = got->result.rows;
+  std::vector<storage::Row> want_rows = want->result.rows;
+  std::sort(got_rows.begin(), got_rows.end());
+  std::sort(want_rows.begin(), want_rows.end());
+  EXPECT_FALSE(want_rows.empty());
+  EXPECT_EQ(got_rows, want_rows);
 }
 
 TEST(DeviceTest, ProfilesOrdered) {

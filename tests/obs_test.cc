@@ -194,8 +194,7 @@ TEST(TracePhaseLabelTest, PlanStepsAndMobileFrameStepsAreNamedIntervals) {
     const obs::TraceRecord& r = served[i];
     const bool miss = i == 0;
     SCOPED_TRACE(miss ? "plan-cache miss" : "plan-cache hit");
-    EXPECT_EQ(r.counters.count(miss ? "plan_cache_miss" : "plan_cache_hit"),
-              1u);
+    EXPECT_EQ(r.Counter(miss ? "plan_cache_miss" : "plan_cache_hit"), 1);
     EXPECT_EQ(CountIntervals(r, "plan/parse"), 1u);
     EXPECT_EQ(CountIntervals(r, "plan/normalize"), 1u);
     EXPECT_EQ(CountIntervals(r, "plan/plan_cache"), 1u);
@@ -467,7 +466,7 @@ TEST(TraceContextTest, FetchEventsAndCountersSurviveIntoRecord) {
   ASSERT_EQ(record.fetches.size(), 1u);
   EXPECT_EQ(record.fetches[0].channel, 1);
   EXPECT_EQ(record.fetches[0].bytes, 4096u);
-  EXPECT_EQ(record.counters.at("result_cache_hit"), 2);
+  EXPECT_EQ(record.Counter("result_cache_hit"), 2);
 }
 
 obs::TraceRecord MakeTraceRecord(uint64_t id, const std::string& cls,

@@ -191,6 +191,45 @@ TEST_F(AdaptiveTest, PlanCacheHitsAndRebindsWithIdenticalResults) {
             std::string::npos);
 }
 
+TEST_F(AdaptiveTest, PlanTextIsRenderedOnlyForExplain) {
+  PlanCache cache;
+  Planner cached(dt_->catalog(), nullptr, &cache);
+  Planner plain(dt_->catalog());
+  PlannerOptions opts;
+  const std::string sql =
+      "SELECT accession FROM activities WHERE affinity_nm < 50.0 "
+      "ORDER BY accession";
+
+  // Served statements, miss then hit: rows, no plan text, cache flag kept.
+  auto miss = cached.Run(sql, opts);
+  auto hit = cached.Run(sql, opts);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_FALSE(miss->from_plan_cache);
+  EXPECT_TRUE(hit->from_plan_cache);
+  for (const QueryOutcome* o : {&*miss, &*hit}) {
+    EXPECT_TRUE(o->logical_plan.empty()) << o->logical_plan;
+    EXPECT_TRUE(o->physical_plan.empty()) << o->physical_plan;
+    EXPECT_FALSE(o->result.rows.empty());
+  }
+
+  // EXPLAIN and EXPLAIN ANALYZE still render both plans; a cache hit adds
+  // the "plan: cached" line in front of the same physical plan.
+  auto fresh = plain.Run("EXPLAIN " + sql, opts);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_FALSE(fresh->logical_plan.empty());
+  EXPECT_FALSE(fresh->physical_plan.empty());
+  for (const char* prefix : {"EXPLAIN ", "EXPLAIN ANALYZE "}) {
+    auto explained = cached.Run(prefix + sql, opts);
+    ASSERT_TRUE(explained.ok()) << explained.status();
+    EXPECT_TRUE(explained->from_plan_cache) << prefix;
+    EXPECT_EQ(explained->logical_plan, fresh->logical_plan) << prefix;
+    EXPECT_EQ(explained->physical_plan,
+              "plan: cached\n" + fresh->physical_plan)
+        << prefix;
+  }
+}
+
 TEST_F(AdaptiveTest, ConsumedLiteralsMakeTemplatesNonRebindable) {
   // The tree-predicate rewrite resolves SUBTREE's node literal into
   // interval constants at plan time, so the overlay template must NOT be

@@ -268,23 +268,28 @@ TEST_F(ExecTest, NaiveAndOptimizedAgree) {
 }
 
 TEST_F(ExecTest, IndexScanChosenAndCorrect) {
-  PlannerOptions opts = PlannerOptions::Optimized();
-  auto outcome = planner_->Run(
+  const std::string sql =
       "SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'x') "
-      "ORDER BY p.acc",
-      opts);
+      "ORDER BY p.acc";
+  auto outcome = planner_->Run(sql, PlannerOptions::Optimized());
   ASSERT_TRUE(outcome.ok());
-  EXPECT_NE(outcome->physical_plan.find("IndexScan"), std::string::npos)
-      << outcome->physical_plan;
   EXPECT_EQ(outcome->result.rows.size(), 2u);
+  auto explained =
+      planner_->Run("EXPLAIN " + sql, PlannerOptions::Optimized());
+  ASSERT_TRUE(explained.ok());
+  EXPECT_NE(explained->physical_plan.find("IndexScan"), std::string::npos)
+      << explained->physical_plan;
   // The naive plan instead scans sequentially.
-  auto naive = planner_->Run(
-      "SELECT p.acc FROM proteins p WHERE SUBTREE(p.node_id, 'x') "
-      "ORDER BY p.acc",
-      PlannerOptions::Naive());
+  auto naive = planner_->Run(sql, PlannerOptions::Naive());
   ASSERT_TRUE(naive.ok());
-  EXPECT_EQ(naive->physical_plan.find("IndexScan"), std::string::npos);
-  EXPECT_NE(naive->physical_plan.find("SeqScan"), std::string::npos);
+  EXPECT_EQ(naive->result.rows, outcome->result.rows);
+  auto naive_explained = planner_->Run("EXPLAIN " + sql,
+                                       PlannerOptions::Naive());
+  ASSERT_TRUE(naive_explained.ok());
+  EXPECT_EQ(naive_explained->physical_plan.find("IndexScan"),
+            std::string::npos);
+  EXPECT_NE(naive_explained->physical_plan.find("SeqScan"),
+            std::string::npos);
 }
 
 TEST_F(ExecTest, HashJoinVsNestedLoopSameRows) {
@@ -298,9 +303,15 @@ TEST_F(ExecTest, HashJoinVsNestedLoopSameRows) {
   auto n = planner_->Run(sql, nlj);
   ASSERT_TRUE(h.ok());
   ASSERT_TRUE(n.ok());
-  EXPECT_NE(h->physical_plan.find("HashJoin"), std::string::npos);
-  EXPECT_NE(n->physical_plan.find("NestedLoopJoin"), std::string::npos);
   EXPECT_EQ(h->result.rows, n->result.rows);
+  const std::string explain = std::string("EXPLAIN ") + sql;
+  auto h_explained = planner_->Run(explain, hash);
+  auto n_explained = planner_->Run(explain, nlj);
+  ASSERT_TRUE(h_explained.ok());
+  ASSERT_TRUE(n_explained.ok());
+  EXPECT_NE(h_explained->physical_plan.find("HashJoin"), std::string::npos);
+  EXPECT_NE(n_explained->physical_plan.find("NestedLoopJoin"),
+            std::string::npos);
 }
 
 TEST_F(ExecTest, ResultCacheHitSkipsExecution) {

@@ -90,12 +90,15 @@ TEST_F(ExtensionsTest, BetweenDesugarsToRange) {
 }
 
 TEST_F(ExtensionsTest, BetweenUsesBTreeIndex) {
-  auto outcome = planner_->Run(
-      "SELECT t.k FROM t WHERE t.k BETWEEN 3 AND 5",
-      PlannerOptions::Optimized());
+  const std::string sql = "SELECT t.k FROM t WHERE t.k BETWEEN 3 AND 5";
+  auto outcome = planner_->Run(sql, PlannerOptions::Optimized());
   ASSERT_TRUE(outcome.ok());
-  EXPECT_NE(outcome->physical_plan.find("IndexScan"), std::string::npos)
-      << outcome->physical_plan;
+  EXPECT_EQ(outcome->result.rows.size(), 9u);  // 3,4,5 x3 each
+  auto explained =
+      planner_->Run("EXPLAIN " + sql, PlannerOptions::Optimized());
+  ASSERT_TRUE(explained.ok());
+  EXPECT_NE(explained->physical_plan.find("IndexScan"), std::string::npos)
+      << explained->physical_plan;
 }
 
 TEST_F(ExtensionsTest, BetweenInsideConjunction) {

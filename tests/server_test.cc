@@ -20,6 +20,7 @@
 #include "obs/trace_store.h"
 #include "server/server.h"
 #include "util/clock.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace drugtree {
@@ -207,6 +208,39 @@ TEST_F(ServerTest, ExpiredDeadlineIsCancelledWithoutExecuting) {
   EXPECT_EQ(c.cancelled, 1);
   EXPECT_EQ(c.deadline_missed, 1);
   EXPECT_EQ(c.completed, 0);
+}
+
+TEST_F(ServerTest, FailedRequestLogsItsTimelineOnce) {
+  auto server = dt_->MakeServer();
+  server->Pause();
+  QueryRequest r = Interactive(1, CheapSql());
+  r.deadline_micros = clock_->NowMicros() + 1'000;
+  ResponseHandle handle = server->SubmitAsync(std::move(r));
+  clock_->AdvanceMicros(10'000);  // deadline passes while queued
+  const util::LogLevel level = util::GetLogLevel();
+  util::SetLogLevel(util::LogLevel::kWarning);
+  testing::internal::CaptureStderr();
+  server->Resume();
+  auto result = handle.Wait();
+  server->Drain();
+  const std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_FALSE(result.ok());
+  // One WARNING naming the terminal status, with the timeline showing
+  // where the time went: 10ms of queue wait.
+  EXPECT_NE(log.find("WARN"), std::string::npos) << log;
+  EXPECT_NE(log.find("request failed (deadline)"), std::string::npos) << log;
+  EXPECT_NE(log.find("status=deadline"), std::string::npos) << log;
+  EXPECT_NE(log.find("queue_wait"), std::string::npos) << log;
+  EXPECT_NE(log.find("(10000us)"), std::string::npos) << log;
+  EXPECT_EQ(log.find("request failed", log.find("request failed") + 1),
+            std::string::npos)
+      << log;
+
+  // Successful requests stay quiet.
+  testing::internal::CaptureStderr();
+  ASSERT_TRUE(server->Submit(Interactive(1, CheapSql())).ok());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  util::SetLogLevel(level);
 }
 
 TEST_F(ServerTest, DeadlineExpiryCancelsMidScan) {

@@ -245,6 +245,18 @@ TEST_F(ShardTest, RoutingDecisionTable) {
   ASSERT_TRUE(explained.ok()) << explained.status();
   EXPECT_EQ(explained->physical_plan.rfind("route: shards=4 broadcast", 0), 0u)
       << explained->physical_plan;
+
+  // A served (non-EXPLAIN) routed statement renders no plan text, but its
+  // plan still leads with the route line, and nothing follows it.
+  const std::string leaf_sql = core::MakeQuerySql(
+      core::QueryKind::kSubtreeProteins, leaf, tree, params);
+  auto routed = (*router)->Submit(Request(leaf_sql));
+  ASSERT_TRUE(routed.ok()) << routed.status();
+  EXPECT_EQ(routed->physical_plan,
+            "route: " + (*router)->Route(leaf_sql).ToString() + "\n");
+  EXPECT_NE(routed->physical_plan.find(" routed ("), std::string::npos)
+      << routed->physical_plan;
+  EXPECT_TRUE(routed->logical_plan.empty());
   (*router)->Drain();
 }
 
@@ -358,7 +370,10 @@ TEST_F(ShardTest, ScatterGatherTimelineIsDeterministic) {
     EXPECT_EQ(a[i].trace_id, b[i].trace_id);
     EXPECT_EQ(a[i].begin_micros, b[i].begin_micros);
     EXPECT_EQ(a[i].end_micros, b[i].end_micros);
-    EXPECT_EQ(a[i].phase_micros, b[i].phase_micros);
+    for (int p = 0; p < obs::kNumTracePhases; ++p) {
+      const auto phase = static_cast<obs::TracePhase>(p);
+      EXPECT_EQ(a[i].PhaseMicros(phase), b[i].PhaseMicros(phase));
+    }
     ASSERT_EQ(a[i].fetches.size(), b[i].fetches.size());
     for (size_t f = 0; f < a[i].fetches.size(); ++f) {
       EXPECT_EQ(a[i].fetches[f].start_micros, b[i].fetches[f].start_micros);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "storage/hash_index.h"
 #include "storage/lru_cache.h"
 #include "util/rng.h"
@@ -113,13 +115,20 @@ TEST(LruCacheTest, EraseAndClear) {
   EXPECT_EQ(cache.used(), 0u);
 }
 
-TEST(LruCacheTest, ForEachVisitsAll) {
-  LruCache<int, int> cache(10);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  int sum = 0;
-  cache.ForEach([&](const int& k, const int& v) { sum += k + v; });
-  EXPECT_EQ(sum, 33);
+TEST(LruCacheTest, PutReportsEvictedKeys) {
+  LruCache<int, int> cache(3);
+  std::vector<int> evicted;
+  EXPECT_TRUE(cache.Put(1, 10, 1, &evicted));
+  EXPECT_TRUE(cache.Put(2, 20, 1, &evicted));
+  EXPECT_TRUE(cache.Put(3, 30, 1, &evicted));
+  EXPECT_TRUE(evicted.empty());
+  cache.Get(1);  // 2 is now least recently used
+  EXPECT_TRUE(cache.Put(4, 40, 2, &evicted));
+  EXPECT_EQ(evicted, (std::vector<int>{2, 3}));
+  EXPECT_FALSE(cache.Put(5, 50, 4, &evicted));  // larger than the cache
+  EXPECT_EQ(evicted.size(), 2u);
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(4));
 }
 
 TEST(LruCacheTest, HitRate) {
