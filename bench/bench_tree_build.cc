@@ -1,12 +1,14 @@
 // E5 (Table 2): tree-construction cost and accuracy — UPGMA vs
 // neighbor-joining across taxa counts, on clock-like and non-clock-like
 // evolved families, scored by normalized Robinson-Foulds distance to the
-// generating tree.
+// generating tree — plus the k-mer distance matrix that feeds them.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "bio/distance.h"
@@ -66,6 +68,34 @@ void BM_NeighborJoining(benchmark::State& state) {
   }
 }
 
+// The catalog's shape: families of 64 evolved taxa at length 120.
+const std::vector<bio::Sequence>& CatalogSequences(int taxa) {
+  static std::map<int, std::vector<bio::Sequence>> cache;
+  auto it = cache.find(taxa);
+  if (it != cache.end()) return it->second;
+  util::Rng rng(static_cast<uint64_t>(taxa));
+  std::vector<bio::Sequence> seqs;
+  for (int f = 0; f * 64 < taxa; ++f) {
+    bio::EvolutionParams ep;
+    ep.num_taxa = 64;
+    ep.sequence_length = 120;
+    ep.id_prefix = "F" + std::to_string(f) + "_";
+    auto fam = bio::EvolveFamily(ep, &rng);
+    DT_CHECK(fam.ok());
+    for (auto& s : fam->sequences) seqs.push_back(std::move(s));
+  }
+  return cache[taxa] = std::move(seqs);
+}
+
+void BM_KmerDistanceMatrix(benchmark::State& state) {
+  const auto& seqs = CatalogSequences(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto dist = bio::KmerDistanceMatrix(seqs, 3);
+    DT_CHECK(dist.ok());
+    benchmark::DoNotOptimize(dist);
+  }
+}
+
 void AccuracyTable() {
   std::printf("\n-- reconstruction accuracy (normalized RF; lower = better) --\n");
   std::printf("%6s %12s %12s %12s %12s\n", "taxa", "UPGMA/clock",
@@ -97,11 +127,14 @@ BENCHMARK(BM_Upgma)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NeighborJoining)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KmerDistanceMatrix)->Arg(128)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   drugtree::bench::Banner("E5 (Table 2)",
                           "tree construction: UPGMA vs neighbor-joining\n"
-                          "(build cost + reconstruction accuracy)");
+                          "(build cost + reconstruction accuracy) and the\n"
+                          "k-mer distance matrix they are built from");
   auto metrics_flag = drugtree::bench::ParseMetricsFlag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

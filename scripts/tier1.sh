@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then an ASan+UBSan smoke run
 # of the observability tests (the newest subsystem, and the one with the most
-# concurrency) in a separate sanitized build tree.
+# concurrency) and the k-mer distance index arithmetic in a separate
+# sanitized build tree. Any UBSan report aborts its test there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,13 +13,15 @@ cmake --build build -j "$(nproc)"
 cmake -B build-asan -S . -DDRUGTREE_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" \
   --target obs_test obs_telemetry_test query_batch_test \
-           storage_encoding_test query_adaptive_test mobile_test
+           storage_encoding_test query_adaptive_test mobile_test \
+           bio_distance_test
 ./build-asan/tests/obs_test
 ./build-asan/tests/obs_telemetry_test
 ./build-asan/tests/query_batch_test
 ./build-asan/tests/storage_encoding_test
 ./build-asan/tests/query_adaptive_test
 ./build-asan/tests/mobile_test
+./build-asan/tests/bio_distance_test
 
 # TSan smoke of the concurrency-bearing paths: the thread pool itself, the
 # multi-channel network + windowed mediator, morsel-parallel execution, the

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
 #include <unordered_set>
 
 #include "util/logging.h"
@@ -125,68 +125,131 @@ util::Result<DistanceMatrix> AlignmentDistanceMatrix(
 
 namespace {
 
-// Dense k-mer count profile over the 20-letter alphabet; 20^k entries.
-util::Result<std::vector<float>> KmerProfile(const Sequence& s, int k) {
-  size_t dims = 1;
-  for (int i = 0; i < k; ++i) dims *= kNumAminoAcids;
-  std::vector<float> prof(dims, 0.0f);
-  if (s.length() < static_cast<size_t>(k)) return prof;
-  const std::string& r = s.residues();
-  for (size_t i = 0; i + k <= r.size(); ++i) {
-    size_t code = 0;
-    for (int j = 0; j < k; ++j) {
-      int idx = ResidueIndex(r[i + j]);
-      if (idx < 0) {
-        return util::Status::InvalidArgument("invalid residue in " + s.id());
-      }
-      code = code * kNumAminoAcids + static_cast<size_t>(idx);
-    }
-    prof[code] += 1.0f;
+util::Status CheckK(int k) {
+  if (k < 1 || k > 4) {
+    return util::Status::InvalidArgument(
+        util::StringPrintf("k must be in [1,4], got %d", k));
   }
-  return prof;
+  return util::Status::OK();
 }
 
-double CosineDistance(const std::vector<float>& a, const std::vector<float>& b) {
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    dot += double(a[i]) * b[i];
-    na += double(a[i]) * a[i];
-    nb += double(b[i]) * b[i];
+// Number of distinct k-mers over the 20-letter alphabet.
+size_t KmerSpace(int k) {
+  size_t space = 1;
+  for (int i = 0; i < k; ++i) space *= kNumAminoAcids;
+  return space;
+}
+
+// One sequence's k-mer counts as (code, count) entries sorted by code, plus
+// the squared norm of the count vector.
+struct KmerCounts {
+  struct Entry {
+    uint32_t code;
+    uint32_t count;
+  };
+  std::vector<Entry> entries;
+  double norm2 = 0.0;
+};
+
+util::Result<KmerCounts> CountKmers(const Sequence& s, int k) {
+  KmerCounts out;
+  if (s.length() < static_cast<size_t>(k)) return out;
+  const std::string& r = s.residues();
+  const uint32_t space = static_cast<uint32_t>(KmerSpace(k));
+  std::vector<uint32_t> codes;
+  codes.reserve(r.size() - k + 1);
+  uint32_t code = 0;
+  for (size_t i = 0; i < r.size(); ++i) {
+    int idx = ResidueIndex(r[i]);
+    if (idx < 0) {
+      return util::Status::InvalidArgument("invalid residue in " + s.id());
+    }
+    // Rolling code of the window ending at i: drop the oldest residue.
+    code = (code * kNumAminoAcids + static_cast<uint32_t>(idx)) % space;
+    if (i + 1 >= static_cast<size_t>(k)) codes.push_back(code);
   }
+  std::sort(codes.begin(), codes.end());
+  for (size_t i = 0; i < codes.size();) {
+    size_t j = i;
+    while (j < codes.size() && codes[j] == codes[i]) ++j;
+    const uint32_t count = static_cast<uint32_t>(j - i);
+    out.entries.push_back({codes[i], count});
+    out.norm2 += double(count) * count;
+    i = j;
+  }
+  return out;
+}
+
+// Cosine distance from an exact dot product and squared norms.
+double CosineFromDot(double dot, double na, double nb) {
   if (na == 0.0 || nb == 0.0) return 1.0;
   double cos = dot / (std::sqrt(na) * std::sqrt(nb));
   return std::max(0.0, 1.0 - cos);
 }
 
+// Scores row i against every j > i: i's counts are scattered into `acc`
+// (20^k entries, all zero on entry and on return), and each j's short list
+// is walked against it.
+void ScoreRow(const std::vector<KmerCounts>& counts, size_t i,
+              std::vector<double>* acc, DistanceMatrix* m) {
+  const KmerCounts& a = counts[i];
+  for (const auto& e : a.entries) (*acc)[e.code] = e.count;
+  for (size_t j = i + 1; j < counts.size(); ++j) {
+    const KmerCounts& b = counts[j];
+    double dot = 0.0;
+    for (const auto& e : b.entries) dot += (*acc)[e.code] * e.count;
+    m->Set(i, j, CosineFromDot(dot, a.norm2, b.norm2));
+  }
+  for (const auto& e : a.entries) (*acc)[e.code] = 0.0;
+}
+
 }  // namespace
 
 util::Result<double> KmerDistance(const Sequence& a, const Sequence& b, int k) {
-  if (k < 1 || k > 4) {
-    return util::Status::InvalidArgument(
-        util::StringPrintf("k must be in [1,4], got %d", k));
+  DRUGTREE_RETURN_IF_ERROR(CheckK(k));
+  DRUGTREE_ASSIGN_OR_RETURN(KmerCounts ca, CountKmers(a, k));
+  DRUGTREE_ASSIGN_OR_RETURN(KmerCounts cb, CountKmers(b, k));
+  double dot = 0.0;
+  auto ia = ca.entries.begin(), ib = cb.entries.begin();
+  while (ia != ca.entries.end() && ib != cb.entries.end()) {
+    if (ia->code < ib->code) {
+      ++ia;
+    } else if (ib->code < ia->code) {
+      ++ib;
+    } else {
+      dot += double(ia->count) * ib->count;
+      ++ia;
+      ++ib;
+    }
   }
-  DRUGTREE_ASSIGN_OR_RETURN(std::vector<float> pa, KmerProfile(a, k));
-  DRUGTREE_ASSIGN_OR_RETURN(std::vector<float> pb, KmerProfile(b, k));
-  return CosineDistance(pa, pb);
+  return CosineFromDot(dot, ca.norm2, cb.norm2);
 }
 
 util::Result<DistanceMatrix> KmerDistanceMatrix(
     const std::vector<Sequence>& seqs, int k, util::ThreadPool* pool) {
-  if (k < 1 || k > 4) {
-    return util::Status::InvalidArgument(
-        util::StringPrintf("k must be in [1,4], got %d", k));
-  }
-  // Precompute all profiles once (the dominant cost for large k).
-  std::vector<std::vector<float>> profiles(seqs.size());
-  for (size_t i = 0; i < seqs.size(); ++i) {
-    DRUGTREE_ASSIGN_OR_RETURN(profiles[i], KmerProfile(seqs[i], k));
+  DRUGTREE_RETURN_IF_ERROR(CheckK(k));
+  const size_t n = seqs.size();
+  std::vector<KmerCounts> counts(n);
+  for (size_t i = 0; i < n; ++i) {
+    DRUGTREE_ASSIGN_OR_RETURN(counts[i], CountKmers(seqs[i], k));
   }
   DRUGTREE_ASSIGN_OR_RETURN(DistanceMatrix m,
                             DistanceMatrix::Create(NamesOf(seqs)));
-  DRUGTREE_RETURN_IF_ERROR(FillMatrix(
-      &m, seqs.size(), pool, [&](size_t i, size_t j) -> util::Result<double> {
-        return CosineDistance(profiles[i], profiles[j]);
-      }));
+  // Scores rows first, first + stride, ... with one accumulator.
+  auto score_rows = [&](size_t first, size_t stride) {
+    std::vector<double> acc(KmerSpace(k), 0.0);
+    for (size_t i = first; i < n; i += stride) ScoreRow(counts, i, &acc, &m);
+  };
+  if (pool == nullptr) {
+    score_rows(0, 1);
+  } else {
+    // Interleaved rows spread the long early rows and the short late ones
+    // evenly over the tasks. Tasks write disjoint cells, each computed
+    // exactly as in the serial loop.
+    const size_t tasks =
+        std::min(n, static_cast<size_t>(pool->num_threads()) * 4);
+    pool->ParallelFor(tasks, [&](size_t t) { score_rows(t, tasks); });
+  }
   return m;
 }
 

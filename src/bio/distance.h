@@ -4,7 +4,18 @@
 //  * alignment identity distance with a Poisson (Kimura-style) correction,
 //    accurate but O(len^2) per pair;
 //  * k-mer profile distance, a cheap alignment-free approximation used for
-//    large protein sets.
+//    large protein sets: 1 - cosine of the two k-mer count vectors.
+//
+// The k-mer distance never builds a dense 20^k profile. Each sequence becomes
+// a list of (k-mer code, count) entries sorted by code, with its squared
+// norm computed once; a sequence of length L has at most L - k + 1 entries.
+// KmerDistance merges two lists. KmerDistanceMatrix scatters row i's counts
+// into one dense accumulator of 20^k doubles, scores every j > i by walking
+// j's list against it, then clears i's entries, so a pair costs O(L), not
+// O(20^k). The results are exact: counts are integers, so every product and
+// partial sum of the dot product and the norms is an integer far below 2^53,
+// and doubles hold them exactly whatever the summation order. The distance
+// is then dot / (sqrt(na) * sqrt(nb)) as before, bit for bit.
 
 #ifndef DRUGTREE_BIO_DISTANCE_H_
 #define DRUGTREE_BIO_DISTANCE_H_
@@ -67,10 +78,13 @@ util::Result<DistanceMatrix> AlignmentDistanceMatrix(
     const std::vector<Sequence>& seqs, const DistanceParams& params = {},
     util::ThreadPool* pool = nullptr);
 
-/// k-mer profile (cosine) distance for one pair; k in [1, 4].
+/// k-mer profile (cosine) distance for one pair; k in [1, 4]. A sequence
+/// shorter than k has no k-mers and is at distance 1.0 from everything.
+/// InvalidArgument for a bad k or a non-canonical residue.
 util::Result<double> KmerDistance(const Sequence& a, const Sequence& b, int k = 3);
 
-/// Full k-mer distance matrix; O(n^2) cheap profile comparisons.
+/// Full k-mer distance matrix; O(n^2) list walks of O(L) each. With `pool`,
+/// rows are spread over its threads; the result is bitwise the serial one.
 util::Result<DistanceMatrix> KmerDistanceMatrix(
     const std::vector<Sequence>& seqs, int k = 3,
     util::ThreadPool* pool = nullptr);

@@ -344,8 +344,7 @@ Value EncodedColumn::ValueAt(size_t i) const {
     }
     case ColumnEncoding::kFrameOfReference:
       if (IsNull(i)) return Value::Null();
-      return Value::Int64(for_base_ +
-                          static_cast<int64_t>(for_deltas_.Get(i)));
+      return Value::Int64(ForValueAt(i));
   }
   return Value::Null();
 }
@@ -428,10 +427,7 @@ void EncodedColumn::GatherInto(const uint32_t* idx, size_t n,
     case ColumnEncoding::kFrameOfReference:
       for (size_t k = 0; k < n; ++k) {
         if (IsNull(idx[k])) out->AppendNull();
-        else {
-          out->AppendInt64(for_base_ +
-                           static_cast<int64_t>(for_deltas_.Get(idx[k])));
-        }
+        else out->AppendInt64(ForValueAt(idx[k]));
       }
       return;
   }
@@ -531,15 +527,14 @@ void EncodedColumn::FilterCompare(CompareOp op, const Value& literal,
         int64_t lit = literal.AsInt64();
         EmitMatches(size_, candidates, out, [&](uint32_t i) {
           if (!not_null(i)) return false;
-          int64_t v = for_base_ + static_cast<int64_t>(for_deltas_.Get(i));
+          int64_t v = ForValueAt(i);
           return CompareMatches(op, v < lit ? -1 : (v > lit ? 1 : 0));
         });
       } else if (literal.type() == ValueType::kDouble) {
         double lit = literal.AsDouble();
         EmitMatches(size_, candidates, out, [&](uint32_t i) {
           if (!not_null(i)) return false;
-          double v = static_cast<double>(
-              for_base_ + static_cast<int64_t>(for_deltas_.Get(i)));
+          double v = static_cast<double>(ForValueAt(i));
           return CompareMatches(op, v < lit ? -1 : (v > lit ? 1 : 0));
         });
       } else {

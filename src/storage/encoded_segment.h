@@ -187,6 +187,14 @@ class EncodedColumn {
   int64_t for_base_ = 0;
   BitPackedArray for_deltas_;
 
+  // Row i's frame-of-reference value. Adds in uint64_t, as encode subtracts,
+  // so a column spanning more than INT64_MAX wraps back to the exact value
+  // instead of overflowing a signed add.
+  int64_t ForValueAt(size_t i) const {
+    return static_cast<int64_t>(static_cast<uint64_t>(for_base_) +
+                                for_deltas_.Get(i));
+  }
+
   // kPlain.
   ColumnVector plain_;
 };

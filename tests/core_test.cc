@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <map>
 
 #include "core/drugtree.h"
 #include "core/workload.h"
+#include "phylo/newick.h"
 #include "util/clock.h"
 
 namespace drugtree {
@@ -265,6 +268,67 @@ TEST_F(DrugTreeMutationTest, MaterializeOverlayReflectsUpdates) {
   ASSERT_EQ(rows->size(), 1u);
   auto best_col = *overlay->schema().IndexOf("best_affinity_nm");
   EXPECT_DOUBLE_EQ(overlay->row((*rows)[0])[best_col].AsDouble(), 1.5);
+}
+
+// Pins the catalog tree a seeded build produces. The Newick text prints
+// branch lengths at %.6f, so an FNV-1a hash over every node's parent id and
+// the bit pattern of its branch length pins the full bits as well. A change
+// that moves either value changed the distances or the tree builder.
+TEST(CatalogGoldenTest, SeededBuildTree) {
+  util::SimulatedClock clock;
+  BuildOptions options;
+  options.seed = 2024;
+  options.num_families = 4;
+  options.taxa_per_family = 16;
+  auto built = DrugTree::Build(options, &clock);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const phylo::Tree& tree = (*built)->tree();
+  ASSERT_EQ(tree.NumLeaves(), 64u);
+
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (word >> (8 * b)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (size_t i = 0; i < tree.NumNodes(); ++i) {
+    const phylo::Node& n = tree.node(static_cast<phylo::NodeId>(i));
+    mix(static_cast<uint64_t>(static_cast<int64_t>(n.parent)));
+    uint64_t bits;
+    std::memcpy(&bits, &n.branch_length, sizeof(bits));
+    mix(bits);
+  }
+  EXPECT_EQ(hash, 18417714834844827927ull);
+  EXPECT_EQ(phylo::WriteNewick(tree),
+      "(((P03_0004:0.217706,P03_0005:0.228575):0.247940,((P03_0008:0.4007"
+      "20,(P03_0014:0.386365,P03_0015:0.379323):0.025145):0.068091,((P03_"
+      "0000:0.415847,(P03_0001:0.357594,(P03_0002:0.175772,P03_0003:0.174"
+      "387):0.166004):0.058062):0.044032,((P03_0006:0.275276,P03_0007:0.2"
+      "80280):0.143666,((P03_0012:0.218083,P03_0013:0.226204):0.183634,(P"
+      "03_0009:0.349132,(P03_0010:0.303010,P03_0011:0.293572):0.043390):0"
+      ".059984):0.015675):0.031729):0.010791):0.006559):0.011680,((P01_00"
+      "12:0.436076,(P01_0013:0.400421,(P01_0003:0.316485,(P01_0000:0.1270"
+      "54,P01_0002:0.129119):0.197579):0.079893):0.033258):0.040787,(((P0"
+      "1_0010:0.241627,P01_0011:0.242243):0.107171,(P01_0015:0.278241,(P0"
+      "1_0009:0.190054,P01_0014:0.203308):0.066499):0.081996):0.100689,(P"
+      "01_0004:0.409303,(P01_0005:0.362762,(P01_0001:0.281109,(P01_0008:0"
+      ".149410,(P01_0006:0.122485,P01_0007:0.125218):0.029264):0.135048):"
+      "0.072876):0.038856):0.046809):0.030040):0.005898,(((P02_0014:0.441"
+      "849,(P02_0004:0.355551,(P02_0003:0.263997,(P02_0002:0.157268,(P02_"
+      "0009:0.124240,(P02_0008:0.082476,P02_0015:0.080098):0.035073):0.03"
+      "8139):0.106041):0.081961):0.087055):0.025089,(P02_0005:0.454160,(("
+      "P02_0006:0.320676,(P02_0000:0.276236,P02_0001:0.278387):0.039910):"
+      "0.091714,((P02_0012:0.217469,P02_0013:0.227890):0.163355,(P02_0011"
+      ":0.296023,(P02_0007:0.188665,P02_0010:0.190347):0.102785):0.096759"
+      "):0.039658):0.030415):0.013121):0.023033,((P00_0014:0.325306,P00_0"
+      "015:0.327539):0.153274,(((P00_0000:0.073991,P00_0001:0.071142):0.3"
+      "02040,(P00_0004:0.341867,(P00_0005:0.172544,P00_0006:0.171971):0.1"
+      "67979):0.042917):0.052915,((P00_0008:0.331053,(P00_0007:0.266719,("
+      "P00_0013:0.099968,(P00_0009:0.044331,P00_0012:0.046454):0.044776):"
+      "0.171805):0.053047):0.091761,(P00_0002:0.392638,(P00_0003:0.314359"
+      ",(P00_0010:0.255808,P00_0011:0.269599):0.068066):0.068018):0.02778"
+      "6):0.013856):0.042976):0.005559):0.004967);");
 }
 
 TEST(WorkloadTest, GenerationDeterministicAndWellFormed) {

@@ -153,6 +153,43 @@ TEST(EncodedColumnTest, RoundTripInt64Patterns) {
   ExpectRoundTrip(extremes);
 }
 
+// A frame-of-reference column spanning the whole int64 range: every delta
+// from INT64_MIN exceeds INT64_MAX, so decode must add in unsigned
+// arithmetic (a signed add overflows, which UBSan reports).
+TEST(EncodedColumnTest, FrameOfReferenceSpansFullInt64Range) {
+  ColumnVector src;
+  src.AppendInt64(INT64_MIN);
+  src.AppendInt64(0);
+  src.AppendInt64(INT64_MAX);
+  ASSERT_TRUE(
+      EncodedColumn::Eligible(src, ColumnEncoding::kFrameOfReference));
+  EncodedColumn enc =
+      EncodedColumn::EncodeWith(src, ColumnEncoding::kFrameOfReference);
+  EXPECT_EQ(enc.ValueAt(0), Value::Int64(INT64_MIN));
+  EXPECT_EQ(enc.ValueAt(1), Value::Int64(0));
+  EXPECT_EQ(enc.ValueAt(2), Value::Int64(INT64_MAX));
+  ColumnVector dec;
+  enc.DecodeInto(&dec);
+  ASSERT_EQ(dec.size(), 3u);
+  EXPECT_EQ(dec.GetValue(0), Value::Int64(INT64_MIN));
+  EXPECT_EQ(dec.GetValue(2), Value::Int64(INT64_MAX));
+  const uint32_t idx[] = {2, 0};
+  ColumnVector gat;
+  enc.GatherInto(idx, 2, &gat);
+  ASSERT_EQ(gat.size(), 2u);
+  EXPECT_EQ(gat.GetValue(0), Value::Int64(INT64_MAX));
+  EXPECT_EQ(gat.GetValue(1), Value::Int64(INT64_MIN));
+
+  ExpectRoundTrip(src);
+  for (int64_t lit : {INT64_MIN, int64_t{-1}, int64_t{0}, int64_t{1},
+                      INT64_MAX}) {
+    ExpectFilterExact(src, Value::Int64(lit));
+  }
+  for (double lit : {-1e19, -0.5, 0.0, 0.5, 1e19}) {
+    ExpectFilterExact(src, Value::Double(lit));
+  }
+}
+
 TEST(EncodedColumnTest, RoundTripStringsAndDoublesAndBools) {
   ColumnVector strs;
   for (int i = 0; i < 300; ++i) {
